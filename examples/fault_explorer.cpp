@@ -349,8 +349,8 @@ int report_explore(const verify::JobSpec& spec,
   if (report.frontier) {
     std::cout << "frontier       : waves=" << report.frontier->waves
               << " forwarded=" << report.frontier->forwarded
-              << " batch_sweeps=" << report.frontier->batch_sweeps
               << " memo_hits=" << report.frontier->memo_hits
+              << " misses_stepped=" << report.frontier->batched_lanes
               << " lanes=" << report.frontier->arena_lanes << '\n';
     if (report.frontier->spill_runs > 0) {
       std::cout << "spill          : runs=" << report.frontier->spill_runs

@@ -12,11 +12,14 @@
 #   3. default build  → the `tier2-fuzz` label (wall-clock-bounded smoke
 #      fuzz campaign per seed protocol);
 #   4. FF_SANITIZE=thread build → the multi-threaded suites (label `tsan`,
-#      i.e. the parallel-explorer differential harness and the real-thread
-#      stress suites, the crashed-and-restarted worker threads of the
-#      recoverable-consensus campaign included) under ThreadSanitizer;
+#      i.e. the parallel-explorer and frontier-explorer differential
+#      harnesses and the real-thread stress suites, the
+#      crashed-and-restarted worker threads of the recoverable-consensus
+#      campaign included) under ThreadSanitizer;
 #   5. FF_SANITIZE=address build → the memory-heavy fuzzer/explorer suites
 #      (label `asan`) under AddressSanitizer + UndefinedBehaviorSanitizer;
+#      stages 4 and 5 build the ff_tsan_tests / ff_asan_tests targets,
+#      which tests/CMakeLists.txt derives from the label lists;
 #   6. ff-lint (label `lint`): the rule-engine test suite plus a tree
 #      scan of the shipped sources, with the JSON report summarized;
 #   7. ffcheck (label `analysis`): the IR-analyzer test suite (A1-A5
@@ -34,10 +37,9 @@
 #      generated-machine overhead is <= 2% with every registry
 #      protocol's generated census matching the interpreter, the A2
 #      immunity pruning leaves the census bit-identical with a prune
-#      factor >= 1, the pool batch sweep is >= 2x scalar delivery, the
-#      B5 crash growth/latency bounds hold, and the B6 frontier engine
-#      is >= 2x parallel_explore in states/sec with a bit-equal census
-#      in memory and under forced spilling;
+#      factor >= 1, the B5 crash growth/latency bounds hold, and the B6
+#      frontier engine is >= 2x parallel_explore in states/sec with a
+#      bit-equal census in memory and under forced spilling;
 #  10. verify-cache (label `verify-cache`: the canonical job layer —
 #      JobSpec round-trips, strict validation, and the persistent
 #      census cache's hit/miss/soundness matrix), then
@@ -62,15 +64,12 @@ ctest --test-dir build -L tier2-fuzz --output-on-failure -j "$JOBS"
 
 echo "== [4/10] FF_SANITIZE=thread build · ctest -L tsan =="
 cmake -B build-tsan -S . -DFF_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j "$JOBS" \
-  --target test_parallel_explorer test_determinism test_concurrency \
-           test_recoverable_consensus
+cmake --build build-tsan -j "$JOBS" --target ff_tsan_tests
 ctest --test-dir build-tsan -L tsan --output-on-failure -j "$JOBS"
 
 echo "== [5/10] FF_SANITIZE=address build · ctest -L asan =="
 cmake -B build-asan -S . -DFF_SANITIZE=address >/dev/null
-cmake --build build-asan -j "$JOBS" \
-  --target test_fuzzer test_shrink test_fuzz_smoke test_sim test_faults
+cmake --build build-asan -j "$JOBS" --target ff_asan_tests
 ctest --test-dir build-asan -L asan --output-on-failure -j "$JOBS"
 
 echo "== [6/10] ff-lint · ctest -L lint + tree scan =="

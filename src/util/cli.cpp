@@ -1,9 +1,29 @@
 #include "util/cli.hpp"
 
-#include <cstdlib>
+#include <charconv>
 #include <stdexcept>
+#include <system_error>
 
 namespace ff::util {
+
+namespace {
+
+/// Parses the whole of `text` as a T, or throws std::invalid_argument
+/// naming the flag: a trailing suffix ("4M"), a sign on an unsigned flag
+/// ("-1"), leading blanks and out-of-range values are all rejected.
+template <typename T>
+T parse_number(const std::string& name, const std::string& text) {
+  T out{};
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (ec != std::errc{} || ptr != end) {
+    throw std::invalid_argument("invalid numeric flag --" + name + "=" +
+                                text);
+  }
+  return out;
+}
+
+}  // namespace
 
 Cli::Cli(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -46,20 +66,20 @@ std::int64_t Cli::get_int(const std::string& name,
                           std::int64_t fallback) const {
   const auto v = get(name);
   if (!v || v->empty()) return fallback;
-  return std::strtoll(v->c_str(), nullptr, 10);
+  return parse_number<std::int64_t>(name, *v);
 }
 
 std::uint64_t Cli::get_uint(const std::string& name,
                             std::uint64_t fallback) const {
   const auto v = get(name);
   if (!v || v->empty()) return fallback;
-  return std::strtoull(v->c_str(), nullptr, 10);
+  return parse_number<std::uint64_t>(name, *v);
 }
 
 double Cli::get_double(const std::string& name, double fallback) const {
   const auto v = get(name);
   if (!v || v->empty()) return fallback;
-  return std::strtod(v->c_str(), nullptr);
+  return parse_number<double>(name, *v);
 }
 
 bool Cli::get_bool(const std::string& name, bool fallback) const {

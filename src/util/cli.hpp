@@ -2,7 +2,9 @@
 //
 // Supports --name=value, --name value, and bare --flag booleans.  Unknown
 // flags are collected so callers can decide whether to reject them
-// (google-benchmark binaries pass their own flags through).
+// (google-benchmark binaries pass their own flags through).  The typed
+// getters return the fallback for an absent or empty value and throw
+// std::invalid_argument unless the whole value parses.
 #pragma once
 
 #include <cstdint>

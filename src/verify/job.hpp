@@ -104,7 +104,6 @@ struct JobSpec {
   /// Worker threads for parallel/frontier (0 = hardware concurrency).
   std::uint32_t threads = 0;
   std::uint32_t shard_count = 0;
-  std::uint32_t batch_lanes = 1024;
   std::string spill_dir;
   std::uint64_t mem_limit_bytes = 0;
   /// Fingerprint-table pre-size hint (0 = derive from max_states).

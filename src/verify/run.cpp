@@ -54,7 +54,6 @@ Report execute_explore_family(const Instance& instance) {
     options.shard_count = spec.shard_count;
     options.spill_dir = spec.spill_dir;
     options.mem_limit_bytes = spec.mem_limit_bytes;
-    options.batch_lanes = spec.batch_lanes;
     const auto result = sched::frontier_explore(
         instance.config, *instance.factory, instance.inputs, options);
     fill_census(report, result.explore);

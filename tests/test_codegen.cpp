@@ -10,11 +10,12 @@
 //   * for every registry protocol × fault budget × crash budget grid
 //     point, the full census (states, violations, witnesses, agreed
 //     values) from the generated machine equals the interpreter's, under
-//     the sequential AND the parallel explorer, reductions on and off;
+//     the sequential, the parallel AND the frontier explorer, reductions
+//     on and off;
 //   * a step-level lockstep property test replays 10k+ seeded random
-//     schedules simultaneously on a generated StatePool and on an
-//     IrMachine oracle vector, asserting equal encoded states after
-//     every single step (divergence surfaces steps, not censuses, late);
+//     schedules simultaneously on generated machines and on IrMachine
+//     oracles, asserting equal encoded states after every single step
+//     (divergence surfaces steps, not censuses, late);
 //   * shrunk violation witnesses found on the interpreter strict-replay
 //     on the generated path with per-step encoding equality;
 //   * the stale-pre-size regression: ExploreResult::table_grows pins the
@@ -35,10 +36,10 @@
 #include "proto/fingerprint.hpp"
 #include "proto/genapi.hpp"
 #include "proto/machine.hpp"
-#include "proto/pool.hpp"
 #include "proto/registry.hpp"
 #include "sched/explore_common.hpp"
 #include "sched/explorer.hpp"
+#include "sched/frontier_explorer.hpp"
 #include "sched/parallel_explorer.hpp"
 #include "sched/sim_world.hpp"
 #include "util/rng.hpp"
@@ -115,15 +116,20 @@ std::vector<CodegenCase> codegen_grid() {
   return grid;
 }
 
-SimWorld make_world(const sched::MachineFactory& factory,
-                    const CodegenCase& cc) {
+SimConfig make_config(const sched::MachineFactory& factory,
+                      const CodegenCase& cc) {
   SimConfig config;
   config.num_objects = factory.objects_used();
   config.num_registers = factory.registers_used();
   config.kind = cc.kind;
   config.t = cc.t;
   config.crash_budget = cc.crash_budget;
-  return SimWorld(config, factory, iota_inputs(cc.n));
+  return config;
+}
+
+SimWorld make_world(const sched::MachineFactory& factory,
+                    const CodegenCase& cc) {
+  return SimWorld(make_config(factory, cc), factory, iota_inputs(cc.n));
 }
 
 void expect_census_equal(const sched::ExploreResult& oracle,
@@ -250,8 +256,40 @@ TEST(Codegen, FullCensusMatchesOracleParallel) {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Step-level lockstep: 10k+ seeded random schedules on the batched
-//    StatePool vs. an IrMachine oracle vector, equal encodes every step.
+// 3. Full-census equality under the frontier explorer.  Its lane arena
+//    steps whatever machines the factory makes, so the oracle side runs
+//    IrMachines end to end.  Sleep sets stay off: the frontier rejects
+//    them.
+// ---------------------------------------------------------------------------
+
+TEST(Codegen, FullCensusMatchesOracleFrontier) {
+  for (const CodegenCase& cc : codegen_grid()) {
+    SCOPED_TRACE(cc.label);
+    const auto generated = proto::machine_factory(cc.protocol, cc.params);
+    const auto oracle =
+        proto::machine_factory_interpreted(cc.protocol, cc.params);
+    for (const bool reduce : {true, false}) {
+      sched::FrontierExploreOptions options;
+      options.explore.stop_at_first_violation = false;
+      options.explore.symmetry_reduction = reduce;
+      options.explore.sleep_sets = false;
+      options.num_threads = 2;
+      const auto run = [&](const sched::MachineFactory& factory) {
+        return sched::frontier_explore(make_config(factory, cc), factory,
+                                       iota_inputs(cc.n), options);
+      };
+      const auto oracle_result = run(*oracle);
+      const auto gen_result = run(*generated);
+      expect_census_equal(oracle_result.explore, gen_result.explore,
+                          cc.label + (reduce ? "/frontier-reduced"
+                                             : "/frontier-unreduced"));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// 4. Step-level lockstep: 10k+ seeded random schedules on generated
+//    machines vs. IrMachine oracles, equal encodes every step.
 // ---------------------------------------------------------------------------
 
 struct OpKey {
@@ -279,7 +317,7 @@ std::uint64_t domain_value(std::uint64_t r) {
   return kDomain[r % (sizeof(kDomain) / sizeof(kDomain[0]))];
 }
 
-TEST(Codegen, PoolLockstepTenThousandSeededSchedules) {
+TEST(Codegen, ScalarLockstepTenThousandSeededSchedules) {
   constexpr std::size_t kLanes = 64;
   constexpr std::size_t kRounds = 20;
   constexpr std::size_t kMaxSteps = 64;
@@ -289,11 +327,16 @@ TEST(Codegen, PoolLockstepTenThousandSeededSchedules) {
     if (!info.simulable) continue;
     SCOPED_TRACE(info.name);
     const auto program = proto::build_program(info.name);
+    const auto generated = proto::machine_factory(info.name);
+    ASSERT_NE(
+        dynamic_cast<const proto::gen::GenMachineFactory*>(generated.get()),
+        nullptr)
+        << info.name;
 
     for (std::size_t round = 0; round < kRounds; ++round) {
-      proto::StatePool pool(program, kLanes);
-      ASSERT_TRUE(pool.generated()) << info.name;
+      std::vector<std::unique_ptr<sched::StepMachine>> machines;
       std::vector<proto::IrMachine> oracle;
+      machines.reserve(kLanes);
       oracle.reserve(kLanes);
       const std::uint64_t seed =
           util::mix64(0x5eedull ^ (round << 8) ^
@@ -301,83 +344,47 @@ TEST(Codegen, PoolLockstepTenThousandSeededSchedules) {
       for (std::size_t lane = 0; lane < kLanes; ++lane) {
         const auto pid = static_cast<objects::ProcessId>(lane % 4);
         const std::uint64_t input = 1 + (util::mix64(seed ^ lane) % 3);
-        ASSERT_EQ(pool.add(pid, input), lane);
+        machines.push_back(generated->make(pid, input));
         oracle.emplace_back(program, pid, input);
         ++schedules;
       }
 
-      std::vector<std::uint64_t> returned(kLanes, 0);
       for (std::size_t step = 0; step < kMaxSteps; ++step) {
         // Per-step equality for every lane: done, decision, pending op
         // and the full encoded state.
         bool all_done = true;
         for (std::size_t lane = 0; lane < kLanes; ++lane) {
-          ASSERT_EQ(pool.done(lane), oracle[lane].done())
+          const sched::StepMachine& m = *machines[lane];
+          ASSERT_EQ(m.done(), oracle[lane].done())
               << "round " << round << " step " << step << " lane " << lane;
           if (oracle[lane].done()) {
-            ASSERT_EQ(pool.decision(lane), oracle[lane].decision())
+            ASSERT_EQ(m.decision(), oracle[lane].decision())
                 << "round " << round << " step " << step << " lane " << lane;
           } else {
             all_done = false;
-            ASSERT_EQ(key_of(pool.pending(lane)),
-                      key_of(oracle[lane].next_op()))
+            ASSERT_EQ(key_of(m.next_op()), key_of(oracle[lane].next_op()))
                 << "round " << round << " step " << step << " lane " << lane;
           }
-          std::vector<std::uint64_t> pool_enc;
+          std::vector<std::uint64_t> gen_enc;
           std::vector<std::uint64_t> oracle_enc;
-          pool.encode(lane, pool_enc);
+          m.encode(gen_enc);
           oracle[lane].encode(oracle_enc);
-          ASSERT_EQ(pool_enc, oracle_enc)
+          ASSERT_EQ(gen_enc, oracle_enc)
               << "round " << round << " step " << step << " lane " << lane;
         }
         if (all_done) break;
 
         for (std::size_t lane = 0; lane < kLanes; ++lane) {
-          returned[lane] =
-              domain_value(util::mix64(seed ^ (step << 20) ^ (lane << 8)));
-        }
-        pool.deliver_all(returned.data());
-        for (std::size_t lane = 0; lane < kLanes; ++lane) {
-          if (!oracle[lane].done()) {
-            oracle[lane].deliver(model::Value::of(returned[lane]));
-          }
+          if (oracle[lane].done()) continue;
+          const model::Value returned = model::Value::of(
+              domain_value(util::mix64(seed ^ (step << 20) ^ (lane << 8))));
+          machines[lane]->deliver(returned);
+          oracle[lane].deliver(returned);
         }
       }
     }
   }
   EXPECT_GE(schedules, 10'000u);
-}
-
-/// The oracle fallback pool (off-grid parameterization) must behave
-/// identically to scalar interpreters too — same harness, fewer rounds.
-TEST(Codegen, PoolInterpreterFallbackLockstep) {
-  const auto program = proto::build_program("f-plus-one", {{"k", 7}});
-  proto::StatePool pool(program, 8);
-  ASSERT_FALSE(pool.generated());
-  std::vector<proto::IrMachine> oracle;
-  for (std::size_t lane = 0; lane < 8; ++lane) {
-    pool.add(static_cast<objects::ProcessId>(lane), 1 + lane % 2);
-    oracle.emplace_back(program, static_cast<objects::ProcessId>(lane),
-                        1 + lane % 2);
-  }
-  std::vector<std::uint64_t> returned(8, 0);
-  for (std::size_t step = 0; step < 32; ++step) {
-    for (std::size_t lane = 0; lane < 8; ++lane) {
-      returned[lane] = domain_value(util::mix64(step ^ (lane << 8)));
-      ASSERT_EQ(pool.done(lane), oracle[lane].done());
-      std::vector<std::uint64_t> a;
-      std::vector<std::uint64_t> b;
-      pool.encode(lane, a);
-      oracle[lane].encode(b);
-      ASSERT_EQ(a, b) << "step " << step << " lane " << lane;
-    }
-    pool.deliver_all(returned.data());
-    for (std::size_t lane = 0; lane < 8; ++lane) {
-      if (!oracle[lane].done()) {
-        oracle[lane].deliver(model::Value::of(returned[lane]));
-      }
-    }
-  }
 }
 
 /// Scalar crash lockstep: generated machines must reproduce the
@@ -427,7 +434,7 @@ TEST(Codegen, CrashLockstepOnRecoverableProtocols) {
 }
 
 // ---------------------------------------------------------------------------
-// 4. Witness strict replay: shrunk witnesses found on the interpreter
+// 5. Witness strict replay: shrunk witnesses found on the interpreter
 //    replay on the generated path with per-step world-encoding equality.
 // ---------------------------------------------------------------------------
 
@@ -480,7 +487,7 @@ TEST(Codegen, ShrunkWitnessesStrictReplayOnGeneratedPath) {
 }
 
 // ---------------------------------------------------------------------------
-// 5. Pre-sizing regression: table_grows pins the rehash count.
+// 6. Pre-sizing regression: table_grows pins the rehash count.
 // ---------------------------------------------------------------------------
 
 /// Replays FlatFpMap's sizing rule: initial capacity from the hint

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -258,6 +259,31 @@ TEST(Cli, BooleanSpellings) {
   EXPECT_FALSE(cli.get_bool("b", true));
   EXPECT_TRUE(cli.get_bool("c", false));
   EXPECT_FALSE(cli.get_bool("d", true));
+}
+
+TEST(Cli, MalformedNumbersAreRejected) {
+  // The whole value must parse: a unit suffix, letters, a sign on an
+  // unsigned flag or an out-of-range value is an error, never a prefix.
+  // "--seed -1" binds "-1" as the value, which must not wrap to 2^64-1.
+  const char* argv[] = {"prog",          "--state-cap=4M", "--threads=abc",
+                        "--seed",        "-1",             "--ratio=0.5x",
+                        "--big=99999999999999999999",      "--depth= 3",
+                        "--offset=-7",   "--scale=2.5"};
+  const Cli cli(10, argv);
+  EXPECT_THROW((void)cli.get_uint("state-cap", 0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_uint("threads", 0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_int("threads", 0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_double("threads", 0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_uint("seed", 1), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_double("ratio", 0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_uint("big", 0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_int("big", 0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_int("depth", 0), std::invalid_argument);
+  // Well-formed values still parse, signs included where they belong.
+  EXPECT_EQ(cli.get_int("seed", 1), -1);
+  EXPECT_EQ(cli.get_int("offset", 0), -7);
+  EXPECT_DOUBLE_EQ(cli.get_double("offset", 0), -7.0);
+  EXPECT_DOUBLE_EQ(cli.get_double("scale", 0), 2.5);
 }
 
 // --- spin barrier --------------------------------------------------------
