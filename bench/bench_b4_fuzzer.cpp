@@ -1,9 +1,14 @@
 // B4 — schedule-fuzzer throughput and time-to-first-violation.
 //
-// Two questions feed the BENCH trajectory:
+// Three questions feed the BENCH trajectory:
 //   * How many schedules (and simulated steps) per second does the
 //     coverage-guided fuzzer execute on configurations with nothing to
 //     find?  That is the raw search horsepower.
+//   * Does that rate hold while the corpus fills?  The small correct
+//     configurations cover a few hundred states at most, so a step cost
+//     that grows with the corpus only shows on a large instance: the
+//     benchmark's proof-sym job, measured over its whole budget and over
+//     the second half of it.
 //   * How quickly does it surface a first witness on configurations the
 //     explorers prove faulty?  Wall time per benchmark iteration IS the
 //     time-to-first-violation; the counters record how many executions
@@ -16,8 +21,9 @@
 // Modes:
 //   (default)        google-benchmark suite (all BM_* below)
 //   --json <path>    write a machine-readable BENCH_B4.json report:
-//                    schedules/sec and steps/sec on a proven-correct
-//                    configuration, plus time-to-first-violation and
+//                    schedules/sec and steps/sec on proven-correct
+//                    configurations, the corpus-fill rates on proof-sym,
+//                    plus time-to-first-violation and
 //                    executions-to-violation on proven-faulty ones.
 //   --smoke          reduced budgets for CI gating (scripts/check.sh).
 #include <benchmark/benchmark.h>
@@ -159,6 +165,35 @@ void emit_throughput(util::JsonWriter& w, std::string_view name,
   w.end_object();
 }
 
+/// Steps/sec over the whole budget and over its second half.  The second
+/// half is timed as the difference between this run and a half-budget
+/// run on the same seed, which repeats the first half exactly (a
+/// campaign is a pure function of its job).
+void emit_corpus_fill(util::JsonWriter& w, std::string_view name,
+                      verify::JobSpec spec) {
+  spec.seed = 1;
+  const verify::Report full = verify::execute(verify::instantiate(spec));
+  spec.fuzz_steps /= 2;
+  const verify::Report half = verify::execute(verify::instantiate(spec));
+  const double seconds = static_cast<double>(full.engine_micros) * 1e-6;
+  const double late_seconds =
+      seconds - static_cast<double>(half.engine_micros) * 1e-6;
+  const auto late_steps = static_cast<double>(full.fuzz->total_steps -
+                                              half.fuzz->total_steps);
+  w.key(name).begin_object();
+  w.kv("executions", full.fuzz->executions);
+  w.kv("total_steps", full.fuzz->total_steps);
+  w.kv("corpus_entries", full.fuzz->corpus_entries);
+  w.kv("unique_states", full.fuzz->unique_states);
+  w.kv("seconds", seconds);
+  w.kv("steps_per_sec",
+       seconds > 0 ? static_cast<double>(full.fuzz->total_steps) / seconds
+                   : 0.0);
+  w.kv("late_steps_per_sec", late_seconds > 0 ? late_steps / late_seconds
+                                              : 0.0);
+  w.end_object();
+}
+
 void emit_first_violation(util::JsonWriter& w, std::string_view name,
                           verify::JobSpec spec) {
   spec.seed = 1;
@@ -179,6 +214,7 @@ void emit_first_violation(util::JsonWriter& w, std::string_view name,
 
 int write_report(const std::string& path, bool smoke) {
   const std::uint64_t throughput_budget = smoke ? 20'000 : 200'000;
+  const std::uint64_t corpus_fill_budget = smoke ? 50'000 : 500'000;
   const std::uint64_t violation_budget = smoke ? 500'000 : 5'000'000;
 
   util::JsonWriter w;
@@ -192,6 +228,12 @@ int write_report(const std::string& path, bool smoke) {
                   fuzz_spec("staged", {{"f", 1}, {"t", 1}},
                             model::FaultKind::kOverriding, 1, 2,
                             throughput_budget));
+  // The benchmark's proof-sym job: staged f=2 t=1 n=3, symmetry on,
+  // violation-free, so the whole budget goes into filling the corpus.
+  emit_corpus_fill(w, "throughput_corpus_fill",
+                   fuzz_spec("staged", {{"f", 2}, {"t", 1}},
+                             model::FaultKind::kOverriding, 1, 3,
+                             corpus_fill_budget));
   emit_first_violation(w, "first_violation_single_cas",
                        fuzz_spec("single-cas", {},
                                  model::FaultKind::kOverriding, 1, 3,

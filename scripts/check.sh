@@ -15,7 +15,8 @@
 #      i.e. the parallel-explorer and frontier-explorer differential
 #      harnesses and the real-thread stress suites, the
 #      crashed-and-restarted worker threads of the recoverable-consensus
-#      campaign included) under ThreadSanitizer;
+#      campaign included, and the census cache's concurrent same-key
+#      writers) under ThreadSanitizer;
 #   5. FF_SANITIZE=address build → the memory-heavy fuzzer/explorer suites
 #      (label `asan`) under AddressSanitizer + UndefinedBehaviorSanitizer;
 #      stages 4 and 5 build the ff_tsan_tests / ff_asan_tests targets,

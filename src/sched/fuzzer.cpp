@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <unordered_map>
-#include <unordered_set>
+#include <stdexcept>
 #include <vector>
 
 #include "sched/explore_common.hpp"
@@ -16,7 +15,7 @@ namespace ff::sched {
 namespace {
 
 using detail::Fingerprint;
-using detail::FingerprintHash;
+using detail::FlatFpMap;
 
 /// Canonical ordering of choices: lower pid first (the adversary's
 /// 0xFFFFFFFF pseudo-pid naturally sorts last), clean before faulty
@@ -28,21 +27,39 @@ using detail::FingerprintHash;
          (static_cast<std::uint64_t>(c.fault) << 32) | c.fault_variant;
 }
 
+[[nodiscard]] bool is_faulty(const Choice& c) noexcept {
+  return c.fault || c.crash;
+}
+
+/// The k-th choice, in enabled order, that `in_pool` accepts.  The picks
+/// below count their pools and fetch the member they drew, so a pick
+/// allocates nothing.
+template <class InPool>
+[[nodiscard]] const Choice& nth_in_pool(const std::vector<Choice>& choices,
+                                        std::size_t k, InPool in_pool) {
+  for (const Choice& c : choices) {
+    if (!in_pool(c)) continue;
+    if (k == 0) return c;
+    --k;
+  }
+  return choices.back();  // unreachable: k is below the pool size
+}
+
 /// Unguided pick, identical in spirit to random_walk: prefer a fault or
-/// crash choice with probability `fault_bias`, uniform within the pool.
-/// With crash_budget 0 no crash choice ever exists, so the pools — and
-/// every RNG draw — are bit-identical to the crash-unaware fuzzer.
+/// crash choice with probability `fault_bias`, uniform within the pool;
+/// with no clean choice enabled, the pool is the faulty one.  With
+/// crash_budget 0 no crash choice ever exists, so the pools — and every
+/// RNG draw — are bit-identical to the crash-unaware fuzzer.
 [[nodiscard]] Choice biased_pick(const std::vector<Choice>& choices,
                                  util::Xoshiro256& rng, double fault_bias) {
-  std::vector<Choice> faulty;
-  std::vector<Choice> clean;
-  for (const Choice& c : choices) {
-    (c.fault || c.crash ? faulty : clean).push_back(c);
-  }
-  const std::vector<Choice>& pool =
-      (!faulty.empty() && rng.chance(fault_bias)) ? faulty : clean;
-  const std::vector<Choice>& chosen = pool.empty() ? choices : pool;
-  return chosen[rng.below(chosen.size())];
+  const auto faulty = static_cast<std::size_t>(
+      std::count_if(choices.begin(), choices.end(), is_faulty));
+  const bool take_faulty = (faulty != 0 && rng.chance(fault_bias)) ||
+                           faulty == choices.size();
+  const std::size_t pool = take_faulty ? faulty : choices.size() - faulty;
+  return nth_in_pool(choices, rng.below(pool), [&](const Choice& c) {
+    return is_faulty(c) == take_faulty;
+  });
 }
 
 /// PCT state: one priority per process plus one for the adversary's
@@ -83,16 +100,20 @@ struct PctPriorities {
     const std::size_t s = prio.slot(c.pid);
     if (prio.priority[s] > prio.priority[best_slot]) best_slot = s;
   }
-  std::vector<Choice> faulty;
-  std::vector<Choice> clean;
+  // The best slot owns at least one choice, so when the faulty pool is
+  // not taken the clean one is non-empty, and its first member runs.
+  std::size_t faulty = 0;
+  std::size_t clean = 0;
   for (const Choice& c : choices) {
     if (prio.slot(c.pid) != best_slot) continue;
-    (c.fault || c.crash ? faulty : clean).push_back(c);
+    ++(is_faulty(c) ? faulty : clean);
   }
-  if (!faulty.empty() && (clean.empty() || rng.chance(fault_bias))) {
-    return faulty[rng.below(faulty.size())];
-  }
-  return clean.empty() ? faulty[rng.below(faulty.size())] : clean.front();
+  const bool take_faulty =
+      faulty != 0 && (clean == 0 || rng.chance(fault_bias));
+  const std::size_t k = take_faulty ? rng.below(faulty) : 0;
+  return nth_in_pool(choices, k, [&](const Choice& c) {
+    return prio.slot(c.pid) == best_slot && is_faulty(c) == take_faulty;
+  });
 }
 
 /// Resolves a guidance choice against the currently enabled set: exact
@@ -122,29 +143,41 @@ enum class Mode : std::uint8_t {
   kFaultNudge,  ///< toggle / move / revariant a fault point
 };
 
-[[nodiscard]] std::vector<Choice> make_guidance(
-    Mode mode, const std::vector<std::vector<Choice>>& corpus,
-    std::uint32_t processes, util::Xoshiro256& rng) {
+/// Writes one execution's guidance into `out`, reading the corpus in
+/// place (it holds thousands of schedules late in a campaign).
+void make_guidance(Mode mode, const std::vector<std::vector<Choice>>& corpus,
+                   std::uint32_t processes, util::Xoshiro256& rng,
+                   std::vector<Choice>& out) {
+  if (mode == Mode::kFresh) {
+    // A fresh walk has no parent, yet it draws a parent index over a
+    // one-entry corpus, as it always has: without that draw every later
+    // one shifts, and every campaign changes.
+    (void)rng.below(1);
+    out.clear();
+    return;
+  }
   const auto& parent = corpus[rng.below(corpus.size())];
   switch (mode) {
-    case Mode::kFresh:
-      return {};
+    case Mode::kFresh:  // handled above
+      return;
     case Mode::kSplice: {
       const auto& other = corpus[rng.below(corpus.size())];
       const std::size_t i = rng.below(parent.size() + 1);
       const std::size_t j = rng.below(other.size() + 1);
-      std::vector<Choice> out(parent.begin(),
-                              parent.begin() + static_cast<std::ptrdiff_t>(i));
+      out.assign(parent.begin(),
+                 parent.begin() + static_cast<std::ptrdiff_t>(i));
       out.insert(out.end(), other.begin() + static_cast<std::ptrdiff_t>(j),
                  other.end());
-      return out;
+      return;
     }
     case Mode::kTruncate: {
       const std::size_t keep = rng.below(parent.size() + 1);
-      return {parent.begin(), parent.begin() + static_cast<std::ptrdiff_t>(keep)};
+      out.assign(parent.begin(),
+                 parent.begin() + static_cast<std::ptrdiff_t>(keep));
+      return;
     }
     case Mode::kPidSwap: {
-      std::vector<Choice> out = parent;
+      out = parent;
       const auto p = static_cast<objects::ProcessId>(rng.below(processes));
       const auto q = static_cast<objects::ProcessId>(rng.below(processes));
       for (Choice& c : out) {
@@ -154,11 +187,11 @@ enum class Mode : std::uint8_t {
           c.pid = p;
         }
       }
-      return out;
+      return;
     }
     case Mode::kFaultNudge: {
-      std::vector<Choice> out = parent;
-      if (out.empty()) return out;
+      out = parent;
+      if (out.empty()) return;
       const std::size_t idx = rng.below(out.size());
       switch (rng.below(3)) {
         case 0:  // toggle the fault flag (and drop any crash marker)
@@ -178,12 +211,28 @@ enum class Mode : std::uint8_t {
           out[idx].fault_variant = static_cast<std::uint32_t>(rng.below(4));
           break;
       }
-      return out;
+      return;
     }
   }
-  return {};
 }
 
+/// The campaign's novelty set: a flat membership table, plus the
+/// fingerprints in insertion order for FuzzResult::coverage.  It starts
+/// small and grows, since most campaigns cover few states.
+struct Coverage {
+  FlatFpMap table{16};
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> fingerprints;
+
+  /// True iff `fp` was not covered before.
+  bool insert(const Fingerprint& fp) {
+    if (table.insert_or_get(fp, 0) != FlatFpMap::kNoValue) return false;
+    fingerprints.emplace_back(fp.a, fp.b);
+    return true;
+  }
+};
+
+/// One execution's result.  fuzz() keeps a single one for the whole
+/// campaign, so the path buffer keeps its capacity between executions.
 struct ExecOutcome {
   std::vector<Choice> path;
   bool new_coverage = false;
@@ -192,17 +241,20 @@ struct ExecOutcome {
   std::string detail;
 };
 
-/// Runs one execution: guided by `guidance` where possible, PCT-driven
-/// in fresh mode, biased-random on the tail.  Coverage fingerprints are
-/// recorded after every applied step; a revisited state whose repeated
-/// segment contains a process step is reported as nontermination.
-ExecOutcome run_exec(const SimWorld& initial,
-                     const std::vector<Choice>& guidance, bool fresh,
-                     const FuzzOptions& options, bool sym,
-                     util::Xoshiro256& rng, runtime::BudgetMeter& meter,
-                     std::unordered_set<Fingerprint, FingerprintHash>&
-                         coverage) {
-  ExecOutcome out;
+/// Runs one execution into `out`: guided by `guidance` where possible,
+/// PCT-driven in fresh mode, biased-random on the tail.  Coverage
+/// fingerprints are recorded after every applied step; a revisited state
+/// whose repeated segment contains a process step is reported as
+/// nontermination.
+void run_exec(const SimWorld& initial, const std::vector<Choice>& guidance,
+              bool fresh, const FuzzOptions& options, bool sym,
+              util::Xoshiro256& rng, runtime::BudgetMeter& meter,
+              Coverage& coverage, ExecOutcome& out) {
+  out.path.clear();
+  out.new_coverage = false;
+  out.truncated_by_budget = false;
+  out.kind.reset();
+  out.detail.clear();
   SimWorld world = initial;
   StateEncoder encoder;
   EncodedState enc;
@@ -223,15 +275,17 @@ ExecOutcome run_exec(const SimWorld& initial,
   // EXACT even under symmetry reduction: the cycle oracle's verdict
   // promises a strict revisit of an earlier state of THIS execution,
   // which classify_schedule later re-verifies by comparing raw encodes.
-  std::unordered_map<Fingerprint, std::size_t, FingerprintHash> seen_at;
+  // A step count is at most max_steps_per_exec, which fuzz() keeps below
+  // the table's empty-slot value.
+  FlatFpMap seen_at(64);
   encoder.encode(world, enc);
-  seen_at.emplace(fingerprint_state(enc, /*canonical=*/false), 0);
+  seen_at.insert_or_get(fingerprint_state(enc, /*canonical=*/false), 0);
 
   while (!world.terminal()) {
-    if (out.path.size() >= options.max_steps_per_exec) return out;
+    if (out.path.size() >= options.max_steps_per_exec) return;
     if (!meter.charge(1)) {
       out.truncated_by_budget = true;
-      return out;
+      return;
     }
     const auto choices = world.enabled();
     std::optional<Choice> picked;
@@ -256,11 +310,12 @@ ExecOutcome run_exec(const SimWorld& initial,
     encoder.encode(world, enc);
     const Fingerprint fp = fingerprint_state(enc, /*canonical=*/false);
     const Fingerprint cov_fp = sym ? fingerprint_state(enc, true) : fp;
-    if (coverage.insert(cov_fp).second) out.new_coverage = true;
-    const auto [it, inserted] = seen_at.try_emplace(fp, out.path.size());
-    if (!inserted) {
+    if (coverage.insert(cov_fp)) out.new_coverage = true;
+    const std::uint32_t first_seen = seen_at.insert_or_get(
+        fp, static_cast<std::uint32_t>(out.path.size()));
+    if (first_seen != FlatFpMap::kNoValue) {
       bool process_steps = false;
-      for (std::size_t k = it->second; k < out.path.size(); ++k) {
+      for (std::size_t k = first_seen; k < out.path.size(); ++k) {
         if (out.path[k].pid != kAdversaryPid) {
           process_steps = true;
           break;
@@ -269,9 +324,9 @@ ExecOutcome run_exec(const SimWorld& initial,
       if (process_steps) {
         out.kind = ViolationKind::kNontermination;
         out.detail = "schedule revisits the state reached after step " +
-                     std::to_string(it->second) +
+                     std::to_string(first_seen) +
                      " with a process step inside the cycle";
-        return out;
+        return;
       }
     }
   }
@@ -279,7 +334,6 @@ ExecOutcome run_exec(const SimWorld& initial,
   ExploreOptions eo;
   eo.killed_is_violation = options.killed_is_violation;
   out.kind = detail::check_terminal(world, eo, out.detail);
-  return out;
 }
 
 [[nodiscard]] std::string hex_fingerprint(std::uint64_t a, std::uint64_t b) {
@@ -293,13 +347,17 @@ ExecOutcome run_exec(const SimWorld& initial,
 }  // namespace
 
 FuzzResult fuzz(const SimWorld& initial, const FuzzOptions& options) {
+  if (options.max_steps_per_exec >= FlatFpMap::kNoValue) {
+    throw std::invalid_argument(
+        "fuzz: max_steps_per_exec must be below 2^32 - 1");
+  }
   FuzzResult result;
   util::Xoshiro256 rng(options.seed);
   runtime::BudgetMeter meter(options.budget);
 
   const bool sym =
       options.symmetry_reduction && initial.processes_symmetric();
-  std::unordered_set<Fingerprint, FingerprintHash> coverage;
+  Coverage coverage;
   {
     StateEncoder encoder;
     EncodedState enc;
@@ -307,6 +365,8 @@ FuzzResult fuzz(const SimWorld& initial, const FuzzOptions& options) {
     coverage.insert(fingerprint_state(enc, sym));
   }
 
+  std::vector<Choice> guidance;
+  ExecOutcome exec;
   bool truncated = false;
   bool goal_met = false;
   while (true) {
@@ -324,13 +384,9 @@ FuzzResult fuzz(const SimWorld& initial, const FuzzOptions& options) {
     if (!result.corpus.empty() && !rng.chance(options.fresh_walk_prob)) {
       mode = static_cast<Mode>(1 + rng.below(4));
     }
-    const std::vector<Choice> guidance =
-        make_guidance(mode, mode == Mode::kFresh
-                                ? std::vector<std::vector<Choice>>{{}}
-                                : result.corpus,
-                      initial.processes(), rng);
-    ExecOutcome exec = run_exec(initial, guidance, mode == Mode::kFresh,
-                                options, sym, rng, meter, coverage);
+    make_guidance(mode, result.corpus, initial.processes(), rng, guidance);
+    run_exec(initial, guidance, mode == Mode::kFresh, options, sym, rng,
+             meter, coverage, exec);
     if (exec.truncated_by_budget) {
       // The partial execution is discarded entirely: no verdict and no
       // corpus entry may come from work the budget did not cover.
@@ -367,10 +423,8 @@ FuzzResult fuzz(const SimWorld& initial, const FuzzOptions& options) {
   result.complete = goal_met && !truncated;
   result.stats.total_steps = meter.used();
   result.stats.corpus_entries = result.corpus.size();
-  result.stats.unique_states = coverage.size();
-
-  result.coverage.reserve(coverage.size());
-  for (const Fingerprint& fp : coverage) result.coverage.emplace_back(fp.a, fp.b);
+  result.stats.unique_states = coverage.fingerprints.size();
+  result.coverage = std::move(coverage.fingerprints);
   std::sort(result.coverage.begin(), result.coverage.end());
 
   if (result.original_violation) {

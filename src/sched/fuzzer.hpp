@@ -58,7 +58,9 @@ struct FuzzOptions {
   /// Stop after this many executions (0 = run until the budget ends).
   std::uint64_t max_execs = 0;
   /// Per-execution step cap — gives up on one execution (not the run)
-  /// when no terminal state and no state revisit surfaced first.
+  /// when no terminal state and no state revisit surfaced first.  Must be
+  /// below 2^32 - 1 (the cycle oracle keeps step indices in 32 bits);
+  /// fuzz() throws std::invalid_argument otherwise.
   std::uint64_t max_steps_per_exec = 4'096;
   /// Probability of a fresh PCT walk instead of a corpus mutation (a
   /// fresh walk is always used while the corpus is empty).

@@ -12,12 +12,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ios>
+#include <limits>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "explore_diff.hpp"
+#include "fuzz_jobs.hpp"
+#include "model/tolerance.hpp"
 #include "sched/explorer.hpp"
+#include "verify/run.hpp"
 
 namespace ff::sched {
 namespace {
@@ -25,6 +33,8 @@ namespace {
 using testutil::differential_grid;
 using testutil::expect_witness_reproduces;
 using testutil::full_space_options;
+using testutil::fuzz_job;
+using testutil::fuzz_options_of;
 using testutil::GridCase;
 using testutil::make_world;
 
@@ -150,6 +160,20 @@ TEST(FuzzerBudget, DeadlineTruncationReportsIncomplete) {
   EXPECT_EQ(run.stats.violations_found, 0u);
 }
 
+// The first-seen table of the cycle oracle stores a step index in 32
+// bits, so a per-execution step cap it could not index is refused.
+TEST(FuzzerBudget, RejectsAStepCapBeyondThirtyTwoBits) {
+  const GridCase gc = correct_cell();
+  const SimWorld world = make_world(gc);
+
+  FuzzOptions fo;
+  fo.budget.max_units = 1'000;
+  fo.max_steps_per_exec = std::numeric_limits<std::uint32_t>::max();
+  EXPECT_THROW((void)fuzz(world, fo), std::invalid_argument);
+  fo.max_steps_per_exec = std::numeric_limits<std::uint32_t>::max() - 1;
+  EXPECT_NO_THROW((void)fuzz(world, fo));
+}
+
 // ---------------------------------------------------------------------
 // Seed determinism, mirroring the run_stress / random_walk regression
 // tests: same seed + same budget ⇒ identical corpus, coverage set,
@@ -246,6 +270,84 @@ TEST(FuzzerJson, SerializesRunState) {
   }
   EXPECT_EQ(depth, 0);
   EXPECT_FALSE(in_string);
+}
+
+// ---------------------------------------------------------------------
+// Campaign pin.  A fuzz campaign is a pure function of (world,
+// FuzzOptions), and the census cache keys a fuzz Report on the job alone:
+// the key does not include engine code.  A fuzzer change that moves one
+// RNG draw, or changes what enters the corpus or the coverage set, would
+// therefore keep serving Reports the old code computed.  Such a change
+// must be deliberate: it updates the constants below (FNV-1a 64 of
+// FuzzResult::to_json()) AND bumps verify::Cache::kFormatVersion.  Speed
+// work on the fuzzer must leave them unchanged.
+// ---------------------------------------------------------------------
+
+std::uint64_t fnv1a64(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+struct PinnedCampaign {
+  std::string name;
+  verify::JobSpec spec;
+  std::uint64_t hash_seed1;
+  std::uint64_t hash_seed1009;
+};
+
+std::vector<PinnedCampaign> pinned_campaigns() {
+  // Campaigns that keep going past their violations spend the whole
+  // budget; their first witness is left unshrunk.
+  const auto whole_budget = [](verify::JobSpec spec) {
+    spec.stop_at_first_violation = false;
+    spec.shrink = false;
+    return spec;
+  };
+  verify::JobSpec staged_data = whole_budget(fuzz_job(
+      "staged", {{"f", 1}, {"t", 1}}, model::FaultKind::kDataCorruption, 1, 3));
+  verify::JobSpec staged_first = fuzz_job(
+      "staged", {{"f", 1}, {"t", 1}}, model::FaultKind::kOverriding, 1, 3);
+  staged_first.stop_at_first_violation = true;
+  staged_first.shrink = true;
+  verify::JobSpec recoverable_cas = whole_budget(
+      fuzz_job("recoverable-cas", {}, model::FaultKind::kOverriding, 1, 3));
+  recoverable_cas.crash_budget = 1;
+  return {
+      {"proof-sym", testutil::proof_sym_job(), 0xff2cd256f1b93488ULL,
+       0x6948423ba7bbb014ULL},
+      {"proof-crash", testutil::proof_crash_job(), 0x5ae216afe4997168ULL,
+       0x884b8eda7d000be4ULL},
+      {"staged f=1 t=1 n=3 data", staged_data, 0xc824a1881f8b4880ULL,
+       0xccf75c15d34d73faULL},
+      {"staged f=1 t=1 n=3 overriding, first violation shrunk", staged_first,
+       0x907426673c41890fULL, 0x7ef3f28526bf367cULL},
+      {"retry-silent silent t=inf n=2",
+       whole_budget(fuzz_job("retry-silent", {}, model::FaultKind::kSilent,
+                             model::kUnbounded, 2)),
+       0x2be24f23cf3216b1ULL, 0x510019681b098f1aULL},
+      {"recoverable-cas crashes=1 n=3", recoverable_cas,
+       0xbb69688fa814f4f5ULL, 0xda6cc8ce045314acULL},
+  };
+}
+
+TEST(FuzzerPin, CampaignsHashAsRecorded) {
+  for (const PinnedCampaign& pin : pinned_campaigns()) {
+    for (const std::uint64_t seed : {1u, 1009u}) {
+      verify::JobSpec spec = pin.spec;
+      spec.seed = seed;
+      spec.fuzz_steps = 100'000;
+      const verify::Instance instance = verify::instantiate(spec);
+      const FuzzResult run =
+          fuzz(instance.world(), fuzz_options_of(instance.spec));
+      const std::uint64_t got = fnv1a64(run.to_json());
+      EXPECT_EQ(got, seed == 1 ? pin.hash_seed1 : pin.hash_seed1009)
+          << pin.name << " seed " << seed << ": got 0x" << std::hex << got;
+    }
+  }
 }
 
 }  // namespace
