@@ -7,7 +7,8 @@
 //     hot)?  Both engines run back-to-back within each repetition and
 //     the PAIRED states/sec ratio is taken per round, so machine noise
 //     hits both sides of each division; the reported speedup is the
-//     median of the per-round ratios.
+//     median of the per-round ratios, with their min and max beside it
+//     so a reader can see how far a round strays from the 2.0 bar.
 //   * Does the frontier census stay bit-equal to the parallel engine's
 //     while it wins?  Every repetition cross-checks states, terminals,
 //     per-kind violation counts and agreed values.
@@ -165,8 +166,17 @@ void emit_throughput(util::JsonWriter& w, std::uint64_t reps) {
   w.kv("frontier_peak_bytes", frontier_peak);
   w.kv("census_match", census_ok);
   w.kv("complete", complete);
-  w.kv("speedup", median(std::move(ratios)));
+  const double speedup = median(ratios);
+  const auto [lo, hi] = std::minmax_element(ratios.begin(), ratios.end());
+  const double speedup_min = ratios.empty() ? 0.0 : *lo;
+  const double speedup_max = ratios.empty() ? 0.0 : *hi;
+  w.kv("speedup", speedup);
+  w.kv("speedup_min", speedup_min);
+  w.kv("speedup_max", speedup_max);
   w.end_object();
+  std::cout << "B6 frontier/parallel states/s: median " << speedup
+            << "x (min " << speedup_min << "x, max " << speedup_max
+            << "x) over " << ratios.size() << " paired rounds\n";
 }
 
 /// Forced-spill parity: mem_limit_bytes = 1 spills every wave; the

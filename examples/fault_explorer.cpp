@@ -365,8 +365,14 @@ int report_explore(const verify::JobSpec& spec,
   }
 
   if (!report.violation) {
-    std::cout << "verdict        : no violation — consensus holds for every "
-                 "schedule and fault placement explored\n";
+    if (report.complete) {
+      std::cout << "verdict        : no violation — consensus holds for "
+                   "every schedule and fault placement explored\n";
+    } else {
+      std::cout << "verdict        : inconclusive: no violation in the "
+                << report.states_visited
+                << " states explored, but the search did not finish\n";
+    }
     std::cout << "agreed values  : {";
     bool first = true;
     for (const auto v : report.agreed_values) {

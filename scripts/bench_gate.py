@@ -40,7 +40,8 @@ B6 gates:
   * throughput.speedup >= 2.0 — the owner-computes frontier
     explorer beats the work-stealing parallel DFS by at least 2x in
     states/sec on the staged f=1 t=2 distinct-inputs instance (median
-    of paired per-round ratios, both engines at the same thread count);
+    of paired per-round ratios, both engines at the same thread count;
+    the min and max ratio are printed beside it, not gated);
   * throughput.census_match is true — the frontier census stayed
     bit-equal to the parallel engine's on every round;
   * throughput.complete is true — both engines covered the whole
@@ -181,6 +182,8 @@ def gate_b6(report):
     mode = "smoke" if report.get("smoke") else "full"
     throughput = report["throughput"]
     speedup = float(throughput["speedup"])
+    speedup_min = float(throughput["speedup_min"])
+    speedup_max = float(throughput["speedup_max"])
     census_ok = bool(throughput["census_match"])
     complete = bool(throughput["complete"])
     spill = report["spill"]
@@ -191,7 +194,8 @@ def gate_b6(report):
           f"{int(throughput['waves'])} waves, frontier "
           f"{float(throughput['frontier_mean_seconds']):.3f} s vs parallel "
           f"{float(throughput['parallel_mean_seconds']):.3f} s "
-          f"({speedup:.2f}x median over {int(throughput['reps'])} paired "
+          f"({speedup:.2f}x median, min {speedup_min:.2f}x, max "
+          f"{speedup_max:.2f}x over {int(throughput['reps'])} paired "
           f"rounds), census match: {census_ok}, complete: {complete}, "
           f"spill parity: {spill_parity} "
           f"({int(spill['spill_runs'])} runs, "

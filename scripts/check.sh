@@ -18,6 +18,7 @@
 #      campaign included, and the census cache's concurrent same-key
 #      writers) under ThreadSanitizer;
 #   5. FF_SANITIZE=address build → the memory-heavy fuzzer/explorer suites
+#      and the post-join cycle scan's CSR, peel and Tarjan indexing
 #      (label `asan`) under AddressSanitizer + UndefinedBehaviorSanitizer;
 #      stages 4 and 5 build the ff_tsan_tests / ff_asan_tests targets,
 #      which tests/CMakeLists.txt derives from the label lists;

@@ -37,12 +37,14 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "runtime/budget.hpp"
+#include "sched/cycle_scan.hpp"
 #include "sched/explore_common.hpp"
 #include "sched/reduce.hpp"
 #include "util/handoff.hpp"
@@ -60,12 +62,12 @@ using detail::FpFold;
 constexpr std::uint32_t kNoParent = 0xFFFFFFFFu;
 constexpr std::uint32_t kTerminalFlag = 0x80000000u;
 constexpr std::uint64_t kIdSpace = 0x7FFFFFFEull;
-constexpr std::uint8_t kNoSlot = 0xFF;
+constexpr std::uint8_t kNoSlot = CycleEdge::kNoSlot;
 constexpr std::uint32_t kNoLane = 0xFFFFFFFFu;
 
 /// Choice encoding shared by items, records and edges.
-constexpr std::uint8_t kChoiceFault = 1;
-constexpr std::uint8_t kChoiceCrash = 2;
+constexpr std::uint8_t kChoiceFault = CycleEdge::kFault;
+constexpr std::uint8_t kChoiceCrash = CycleEdge::kCrash;
 /// Record-only: the state behind this record is terminal.
 constexpr std::uint8_t kRecTerminal = 4;
 
@@ -124,10 +126,9 @@ struct Record {
   std::uint32_t parent_id = 0;  ///< global id of the discovering parent
   std::uint32_t pid = 0;
   std::uint32_t variant = 0;
-  std::uint32_t depth = 0;
   std::uint8_t flags = 0;  ///< kChoiceFault | kChoiceCrash | kRecTerminal
   std::uint8_t slot = kNoSlot;
-  std::uint16_t pad = 0;
+  std::uint8_t pad[6] = {};  ///< written to runs, so never left unset
 };
 static_assert(sizeof(Record) == 56 && std::is_trivially_copyable_v<Record>);
 
@@ -136,22 +137,6 @@ static_assert(sizeof(Record) == 56 && std::is_trivially_copyable_v<Record>);
   return Choice{pid, (flags & kChoiceFault) != 0, variant,
                 (flags & kChoiceCrash) != 0};
 }
-
-/// One explored transition, kept for the post-pass cycle scan (edges to
-/// terminal targets are skipped — they cannot sit on a cycle).
-struct FEdge {
-  std::uint32_t from;
-  std::uint32_t to;
-  std::uint32_t pid;
-  std::uint32_t variant;
-  std::uint8_t flags;
-  std::uint8_t slot;
-
-  [[nodiscard]] Choice choice() const {
-    return record_choice(pid, variant, flags);
-  }
-  [[nodiscard]] bool process_step() const { return pid != kAdversaryPid; }
-};
 
 // ---------------------------------------------------------------------------
 // Lane arena: hash-consed machine states.
@@ -430,7 +415,7 @@ struct WorkerState {
   std::uint64_t max_depth = 0;
   std::map<ViolationKind, std::uint64_t> by_kind;
   std::set<std::uint64_t> agreed_values;
-  std::vector<FEdge> edges;
+  std::vector<CycleEdge> edges;  ///< for the post-join cycle scan
   std::uint64_t forwarded = 0;
   std::uint64_t memo_hits = 0;
   std::uint64_t immunity_checks = 0;
@@ -1120,7 +1105,7 @@ std::uint32_t admit_item(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx,
     if ((existing & kTerminalFlag) == 0 && parent_id != kNoParent) {
       const std::uint32_t to =
           ((existing & ~kTerminalFlag) << ctx.shard_bits) | shard_idx;
-      ws.edges.push_back(FEdge{parent_id, to, pid, variant, flags, slot});
+      ws.edges.push_back(CycleEdge{parent_id, to, pid, variant, flags, slot});
     }
     return existing;
   }
@@ -1147,7 +1132,6 @@ std::uint32_t admit_item(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx,
   rec.parent_id = parent_id;
   rec.pid = pid;
   rec.variant = variant;
-  rec.depth = depth;
   rec.flags = flags | (terminal ? kRecTerminal : 0);
   rec.slot = slot;
   sh.records.push_back(rec);
@@ -1163,7 +1147,7 @@ std::uint32_t admit_item(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx,
   ws.max_depth = std::max<std::uint64_t>(ws.max_depth, depth);
 
   if (!terminal && parent_id != kNoParent) {
-    ws.edges.push_back(FEdge{parent_id, id, pid, variant, flags, slot});
+    ws.edges.push_back(CycleEdge{parent_id, id, pid, variant, flags, slot});
   }
 
   if (terminal) {
@@ -1403,230 +1387,6 @@ void spill_shard(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx) {
 }
 
 // ---------------------------------------------------------------------------
-// Nontermination scan (post-join; same algorithm as parallel_explore).
-// ---------------------------------------------------------------------------
-
-struct CycleScan {
-  std::uint64_t process_cycle_edges = 0;
-  std::optional<std::vector<Choice>> witness;
-};
-
-CycleScan scan_for_cycles(const Ctx& ctx,
-                          const std::vector<WorkerState>& locals) {
-  CycleScan scan;
-  std::vector<std::uint64_t> shard_base(ctx.num_shards + 1, 0);
-  for (std::uint32_t s = 0; s < ctx.num_shards; ++s) {
-    shard_base[s + 1] = shard_base[s] + ctx.shards[s].next_seq;
-  }
-  const auto n = static_cast<std::uint32_t>(shard_base[ctx.num_shards]);
-  const auto dense = [&](std::uint32_t id) {
-    return static_cast<std::uint32_t>(shard_base[id & ctx.shard_mask] +
-                                      (id >> ctx.shard_bits));
-  };
-  const auto fp_of = [&](std::uint32_t id) {
-    return ctx.shards[id & ctx.shard_mask].fp_by_seq[id >> ctx.shard_bits];
-  };
-
-  std::uint64_t num_edges = 0;
-  for (const WorkerState& l : locals) num_edges += l.edges.size();
-  if (num_edges == 0 || n == 0) return scan;
-
-  // Retreat-edge pre-filter (in-memory runs only: spilled records no
-  // longer expose depths in O(1)).  BFS discovers every state at its
-  // MINIMAL depth, so along any edge depth[to] <= depth[from] + 1; around
-  // a cycle the depths return to where they started, which forces at
-  // least one edge with depth[to] <= depth[from].  No such retreat edge
-  // means the reachable graph is acyclic and the whole Tarjan pass —
-  // the dominant post-join cost on DAG protocols — can be skipped.
-  if (std::all_of(ctx.shards.begin(), ctx.shards.begin() + ctx.num_shards,
-                  [](const ShardState& s) { return s.spilled_base == 0; })) {
-    const auto depth_of = [&](std::uint32_t id) {
-      return ctx.shards[id & ctx.shard_mask]
-          .records[id >> ctx.shard_bits]
-          .depth;
-    };
-    bool retreat = false;
-    for (const WorkerState& l : locals) {
-      for (const FEdge& e : l.edges) {
-        if (depth_of(e.to) <= depth_of(e.from)) {
-          retreat = true;
-          break;
-        }
-      }
-      if (retreat) break;
-    }
-    if (!retreat) return scan;
-  }
-
-  // Flatten the per-worker edge lists into dense-id columns once: the
-  // Tarjan walk and the classify loop then stream plain u32 arrays
-  // instead of chasing an FEdge pointer and re-deriving dense() per
-  // visit.  The original FEdge (choice payload for witness building) is
-  // recovered by edge index through the per-worker range table.
-  std::vector<std::uint32_t> efrom, eto;
-  std::vector<std::uint8_t> estep;
-  efrom.reserve(num_edges);
-  eto.reserve(num_edges);
-  estep.reserve(num_edges);
-  std::vector<std::pair<std::uint64_t, const std::vector<FEdge>*>> eranges;
-  for (const WorkerState& l : locals) {
-    eranges.emplace_back(efrom.size(), &l.edges);
-    for (const FEdge& e : l.edges) {
-      efrom.push_back(dense(e.from));
-      eto.push_back(dense(e.to));
-      estep.push_back(e.process_step() ? 1 : 0);
-    }
-  }
-  const auto edge_at = [&](std::uint64_t e) -> const FEdge& {
-    std::size_t lo = 0;
-    while (lo + 1 < eranges.size() && eranges[lo + 1].first <= e) ++lo;
-    return (*eranges[lo].second)[e - eranges[lo].first];
-  };
-  std::vector<std::uint64_t> offset(n + 1, 0);
-  for (const std::uint32_t v : efrom) ++offset[v + 1];
-  for (std::uint32_t v = 0; v < n; ++v) offset[v + 1] += offset[v];
-  std::vector<std::uint32_t> csr(num_edges);
-  {
-    std::vector<std::uint64_t> cursor = offset;
-    for (std::uint32_t e = 0; e < num_edges; ++e) {
-      csr[cursor[efrom[e]]++] = e;
-    }
-  }
-
-  // Iterative Tarjan.
-  constexpr std::uint32_t kUndef = 0xFFFFFFFFu;
-  std::vector<std::uint32_t> index(n, kUndef), lowlink(n, kUndef);
-  std::vector<std::uint32_t> scc_of(n, kUndef);
-  std::vector<bool> on_stack(n, false);
-  std::vector<std::uint32_t> stack;
-  std::vector<std::uint32_t> scc_size;
-  struct Frame {
-    std::uint32_t v;
-    std::uint64_t edge;
-  };
-  std::vector<Frame> frames;
-  std::uint32_t next_index = 0;
-  for (std::uint32_t root = 0; root < n; ++root) {
-    if (index[root] != kUndef) continue;
-    frames.push_back({root, offset[root]});
-    index[root] = lowlink[root] = next_index++;
-    stack.push_back(root);
-    on_stack[root] = true;
-    while (!frames.empty()) {
-      Frame& f = frames.back();
-      if (f.edge < offset[f.v + 1]) {
-        const std::uint32_t w = eto[csr[f.edge++]];
-        if (index[w] == kUndef) {
-          index[w] = lowlink[w] = next_index++;
-          stack.push_back(w);
-          on_stack[w] = true;
-          frames.push_back({w, offset[w]});
-        } else if (on_stack[w]) {
-          lowlink[f.v] = std::min(lowlink[f.v], index[w]);
-        }
-        continue;
-      }
-      if (lowlink[f.v] == index[f.v]) {
-        const auto scc_id = static_cast<std::uint32_t>(scc_size.size());
-        std::uint32_t size = 0;
-        std::uint32_t w = kNoParent;
-        do {
-          w = stack.back();
-          stack.pop_back();
-          on_stack[w] = false;
-          scc_of[w] = scc_id;
-          ++size;
-        } while (w != f.v);
-        scc_size.push_back(size);
-      }
-      const std::uint32_t low = lowlink[f.v];
-      frames.pop_back();
-      if (!frames.empty()) {
-        lowlink[frames.back().v] = std::min(lowlink[frames.back().v], low);
-      }
-    }
-  }
-
-  std::optional<std::uint32_t> chosen;
-  for (std::uint32_t e = 0; e < num_edges; ++e) {
-    const std::uint32_t du = efrom[e], dv = eto[e];
-    const bool cyclic =
-        scc_of[du] == scc_of[dv] && (scc_size[scc_of[du]] > 1 || du == dv);
-    if (cyclic && estep[e] != 0) {
-      ++scan.process_cycle_edges;
-      if (!chosen) chosen = e;
-    }
-  }
-  if (!chosen) return scan;
-
-  // Witness: root → u, the process edge u → v, then BFS v → … → u
-  // inside the SCC.
-  const FEdge& key = edge_at(*chosen);
-  const std::uint32_t du = efrom[*chosen], dv = eto[*chosen];
-  std::vector<const FEdge*> lap_edges{&key};
-  if (du != dv) {
-    std::vector<std::uint32_t> pred(n, kUndef);
-    std::vector<std::uint32_t> queue{dv};
-    pred[dv] = *chosen;  // mark discovered (never dereferenced for dv)
-    bool found = false;
-    for (std::size_t head = 0; head < queue.size() && !found; ++head) {
-      const std::uint32_t x = queue[head];
-      for (std::uint64_t i = offset[x]; i < offset[x + 1]; ++i) {
-        const std::uint32_t e = csr[i];
-        const std::uint32_t y = eto[e];
-        if (scc_of[y] != scc_of[du] || pred[y] != kUndef) continue;
-        pred[y] = e;
-        if (y == du) {
-          found = true;
-          break;
-        }
-        queue.push_back(y);
-      }
-    }
-    assert(found && "SCC is strongly connected: a v→u path must exist");
-    std::vector<const FEdge*> back;
-    for (std::uint32_t cur = du; cur != dv;) {
-      const std::uint32_t e = pred[cur];
-      back.push_back(&edge_at(e));
-      cur = efrom[e];
-    }
-    lap_edges.insert(lap_edges.end(), back.rbegin(), back.rend());
-  }
-
-  SimWorld at_u = *ctx.root;
-  std::vector<Choice> witness = path_to(ctx, fp_of(key.from), &at_u);
-  std::vector<Choice> lap;
-  lap.reserve(lap_edges.size());
-  {
-    SimWorld world = at_u;
-    StateEncoder encoder;
-    EncodedState enc;
-    std::vector<std::uint32_t> order;
-    for (const FEdge* e : lap_edges) {
-      Choice c = e->choice();
-      if (ctx.sym && e->slot != kNoSlot) {
-        encoder.encode(world, enc);
-        canonical_order(enc, order);
-        c.pid = order[e->slot];
-      }
-      lap.push_back(c);
-      world.apply(c);
-    }
-  }
-  if (ctx.sym) {
-    if (auto closed = close_symmetric_cycle(at_u, lap)) {
-      witness.insert(witness.end(), closed->begin(), closed->end());
-    } else {
-      witness.insert(witness.end(), lap.begin(), lap.end());
-    }
-  } else {
-    witness.insert(witness.end(), lap.begin(), lap.end());
-  }
-  scan.witness = std::move(witness);
-  return scan;
-}
-
-// ---------------------------------------------------------------------------
 // Wave loop.
 // ---------------------------------------------------------------------------
 
@@ -1639,7 +1399,7 @@ CycleScan scan_for_cycles(const Ctx& ctx,
     total += sh.fp_by_seq.capacity() * sizeof(Fingerprint);
   }
   for (const WorkerState& wsx : *ctx.wlocals) {
-    total += wsx.edges.capacity() * sizeof(FEdge);
+    total += wsx.edges.capacity() * sizeof(CycleEdge);
     total += (wsx.deliver_cache.capacity() + wsx.crash_cache.capacity()) * 24;
   }
   return total;
@@ -1881,18 +1641,18 @@ FrontierExploreResult frontier_explore(const SimConfig& config,
       opts.stop_at_first_violation &&
       ctx.found_violation.load(std::memory_order_relaxed);
   if (!aborted && !stopped_early) {
-    const CycleScan scan = scan_for_cycles(ctx, wlocals);
-    if (scan.process_cycle_edges > 0) {
-      const std::uint64_t reported =
-          opts.stop_at_first_violation ? 1 : scan.process_cycle_edges;
-      result.violations_found += reported;
-      result.violations_by_kind[ViolationKind::kNontermination] += reported;
-      if (!result.violation && scan.witness) {
-        result.violation = Violation{
-            ViolationKind::kNontermination, std::move(*scan.witness),
-            "cycle in the state graph: a process can take steps forever"};
-      }
-    }
+    std::vector<std::uint32_t> shard_sizes;
+    for (const ShardState& sh : ctx.shards) shard_sizes.push_back(sh.next_seq);
+    std::vector<std::span<const CycleEdge>> edge_lists;
+    for (const WorkerState& ws : wlocals) edge_lists.emplace_back(ws.edges);
+    add_nontermination(
+        scan_cycles(shard_sizes, ctx.shard_bits, edge_lists), *ctx.root,
+        ctx.sym, opts,
+        [&ctx](std::uint32_t u, SimWorld* at_u) {
+          const ShardState& sh = ctx.shards[u & ctx.shard_mask];
+          return path_to(ctx, sh.fp_by_seq[u >> ctx.shard_bits], at_u);
+        },
+        result);
   }
 
   result.complete =

@@ -48,6 +48,9 @@
 //     verify::JobSpec::validate() enforces the same rule up front.
 //   * kNontermination counts process edges inside cyclic SCCs of the
 //     explored graph, not DFS back-edges; compare presence, not counts.
+//     The count and its witness come from the post-join cycle scan
+//     shared with parallel_explore (sched/cycle_scan.hpp), which peels
+//     the recorded edge lists before it runs Tarjan on what is left.
 //   * max_depth is the BFS radius (longest SHORTEST path from the
 //     root), not the longest DFS path.
 //   * Which violation is reported first differs from DFS order; the

@@ -9,11 +9,13 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "sched/cycle_scan.hpp"
 #include "sched/explore_common.hpp"
 #include "sched/reduce.hpp"
 
@@ -33,7 +35,7 @@ constexpr std::uint32_t kTerminalFlag = 0x80000000u;
 constexpr std::uint64_t kIdSpace = 0x7FFFFFFEull;
 
 /// Canonical-slot sentinel for adversary steps / the root record.
-constexpr std::uint8_t kNoSlot = 0xFF;
+constexpr std::uint8_t kNoSlot = CycleEdge::kNoSlot;
 
 struct StateRecord {
   std::uint32_t parent;  ///< state id of the discovering parent
@@ -44,27 +46,6 @@ struct StateRecord {
   /// did; the slot is orbit-invariant and resolves to an equivalent
   /// choice in ANY representative (see replay_path_from_root).
   std::uint8_t slot = kNoSlot;
-};
-
-/// One transition of the explored graph, kept for the post-pass cycle
-/// detection (targets that are terminal are skipped — they cannot sit on
-/// a cycle).  The choice is packed so an edge stays small.
-struct Edge {
-  std::uint32_t from;
-  std::uint32_t to;
-  std::uint32_t pid;
-  std::uint32_t variant_fault;  ///< (fault_variant << 2) | (crash << 1) | fault
-  std::uint8_t slot = kNoSlot;  ///< canonical slot of pid at `from`
-
-  [[nodiscard]] Choice choice() const {
-    return Choice{pid, (variant_fault & 1u) != 0, variant_fault >> 2,
-                  (variant_fault & 2u) != 0};
-  }
-  [[nodiscard]] bool process_step() const { return pid != kAdversaryPid; }
-
-  static std::uint32_t pack(const Choice& c) {
-    return (c.fault_variant << 2) | (c.crash ? 2u : 0u) | (c.fault ? 1u : 0u);
-  }
 };
 
 struct alignas(64) Shard {
@@ -100,7 +81,7 @@ struct WorkerLocal {
   std::uint64_t max_depth = 0;
   std::map<ViolationKind, std::uint64_t> by_kind;
   std::set<std::uint64_t> agreed_values;
-  std::vector<Edge> edges;
+  std::vector<CycleEdge> edges;  ///< for the post-join cycle scan
   /// Reusable encoding scratch (workers never share these).
   StateEncoder encoder;
   EncodedState parent_enc;
@@ -308,8 +289,8 @@ void expand(Ctx& ctx, std::uint32_t wid, WorkItem& item, WorkerLocal& local) {
     const std::uint32_t child_id = in.stored & ~kTerminalFlag;
 
     if (!target_terminal) {
-      local.edges.push_back(Edge{item.id, child_id, choice.pid,
-                                 Edge::pack(choice), slot_of(choice)});
+      local.edges.push_back(
+          CycleEdge::of(item.id, child_id, choice, slot_of(choice)));
     }
     if (!in.inserted) {
       if (ctx.por && !local.missing_keys.empty() && !target_terminal) {
@@ -476,197 +457,6 @@ std::vector<Choice> path_from_root(const Ctx& ctx, std::uint32_t id,
   return out;
 }
 
-/// Post-pass nontermination detection over the recorded transition edges:
-/// Tarjan SCCs, then every process-step edge internal to a cyclic SCC is
-/// a wait-freedom violation (inside an SCC, every internal edge lies on a
-/// cycle).  Returns the count and, when one exists, a witness schedule
-/// root → u, u → v (the process edge), v → … → u (a path inside the SCC),
-/// whose replay revisits the state after the root → u prefix.  Under
-/// symmetry the lap returns to an orbit-mate of u; close_symmetric_cycle
-/// extends it with permuted laps until the encoding closes exactly.
-struct CycleScan {
-  std::uint64_t process_cycle_edges = 0;
-  std::optional<std::vector<Choice>> witness;
-};
-
-CycleScan scan_for_cycles(const Ctx& ctx,
-                          const std::vector<WorkerLocal>& locals) {
-  CycleScan scan;
-
-  // Dense node indexing: shard-base prefix sums over the record arrays.
-  const auto num_shards = static_cast<std::uint32_t>(ctx.shards.size());
-  std::vector<std::uint64_t> shard_base(num_shards + 1, 0);
-  for (std::uint32_t s = 0; s < num_shards; ++s) {
-    shard_base[s + 1] = shard_base[s] + ctx.shards[s].records.size();
-  }
-  const auto n = static_cast<std::uint32_t>(shard_base[num_shards]);
-  const auto dense = [&](std::uint32_t id) {
-    return static_cast<std::uint32_t>(shard_base[id & ctx.shard_mask] +
-                                      (id >> ctx.shard_bits));
-  };
-
-  std::uint64_t num_edges = 0;
-  for (const WorkerLocal& l : locals) num_edges += l.edges.size();
-  if (num_edges == 0 || n == 0) return scan;
-
-  // CSR adjacency of edge indices into the concatenated edge list.
-  std::vector<const Edge*> all_edges;
-  all_edges.reserve(num_edges);
-  for (const WorkerLocal& l : locals) {
-    for (const Edge& e : l.edges) all_edges.push_back(&e);
-  }
-  std::vector<std::uint64_t> offset(n + 1, 0);
-  for (const Edge* e : all_edges) ++offset[dense(e->from) + 1];
-  for (std::uint32_t v = 0; v < n; ++v) offset[v + 1] += offset[v];
-  std::vector<std::uint32_t> csr(num_edges);
-  {
-    std::vector<std::uint64_t> cursor = offset;
-    for (std::uint32_t e = 0; e < num_edges; ++e) {
-      csr[cursor[dense(all_edges[e]->from)]++] = e;
-    }
-  }
-
-  // Iterative Tarjan.
-  constexpr std::uint32_t kUndef = 0xFFFFFFFFu;
-  std::vector<std::uint32_t> index(n, kUndef), lowlink(n, kUndef);
-  std::vector<std::uint32_t> scc_of(n, kUndef);
-  std::vector<bool> on_stack(n, false);
-  std::vector<std::uint32_t> stack;
-  std::vector<std::uint32_t> scc_size;
-  struct Frame {
-    std::uint32_t v;
-    std::uint64_t edge;
-  };
-  std::vector<Frame> frames;
-  std::uint32_t next_index = 0;
-
-  for (std::uint32_t root = 0; root < n; ++root) {
-    if (index[root] != kUndef) continue;
-    frames.push_back({root, offset[root]});
-    index[root] = lowlink[root] = next_index++;
-    stack.push_back(root);
-    on_stack[root] = true;
-    while (!frames.empty()) {
-      Frame& f = frames.back();
-      if (f.edge < offset[f.v + 1]) {
-        const std::uint32_t w = dense(all_edges[csr[f.edge++]]->to);
-        if (index[w] == kUndef) {
-          index[w] = lowlink[w] = next_index++;
-          stack.push_back(w);
-          on_stack[w] = true;
-          frames.push_back({w, offset[w]});
-        } else if (on_stack[w]) {
-          lowlink[f.v] = std::min(lowlink[f.v], index[w]);
-        }
-        continue;
-      }
-      if (lowlink[f.v] == index[f.v]) {
-        const auto scc_id = static_cast<std::uint32_t>(scc_size.size());
-        std::uint32_t size = 0;
-        // Pops at most |stack| entries and f.v is guaranteed on the
-        // stack, so the loop is bounded by its own condition.
-        std::uint32_t w = kNoParent;
-        do {
-          w = stack.back();
-          stack.pop_back();
-          on_stack[w] = false;
-          scc_of[w] = scc_id;
-          ++size;
-        } while (w != f.v);
-        scc_size.push_back(size);
-      }
-      const std::uint32_t low = lowlink[f.v];
-      frames.pop_back();
-      if (!frames.empty()) {
-        lowlink[frames.back().v] = std::min(lowlink[frames.back().v], low);
-      }
-    }
-  }
-
-  // Count cycle-forming process edges; keep one for the witness.
-  std::optional<std::uint32_t> chosen;
-  for (std::uint32_t e = 0; e < num_edges; ++e) {
-    const Edge& edge = *all_edges[e];
-    const std::uint32_t du = dense(edge.from), dv = dense(edge.to);
-    const bool cyclic =
-        scc_of[du] == scc_of[dv] && (scc_size[scc_of[du]] > 1 || du == dv);
-    if (cyclic && edge.process_step()) {
-      ++scan.process_cycle_edges;
-      if (!chosen) chosen = e;
-    }
-  }
-  if (!chosen) return scan;
-
-  // Witness: root → u, the process edge u → v, then BFS v → … → u kept
-  // inside the SCC.
-  const Edge& key = *all_edges[*chosen];
-  const std::uint32_t du = dense(key.from), dv = dense(key.to);
-  // The lap's edge descriptors in forward order: u → v, then v → … → u.
-  std::vector<const Edge*> lap_edges{&key};
-  if (du != dv) {
-    std::vector<std::uint32_t> pred(n, kUndef);  // predecessor edge index
-    std::vector<std::uint32_t> queue{dv};
-    pred[dv] = *chosen;  // mark discovered (never dereferenced for dv)
-    bool found = false;
-    for (std::size_t head = 0; head < queue.size() && !found; ++head) {
-      const std::uint32_t x = queue[head];
-      for (std::uint64_t i = offset[x]; i < offset[x + 1]; ++i) {
-        const std::uint32_t e = csr[i];
-        const std::uint32_t y = dense(all_edges[e]->to);
-        if (scc_of[y] != scc_of[du] || pred[y] != kUndef) continue;
-        pred[y] = e;
-        if (y == du) {
-          found = true;
-          break;
-        }
-        queue.push_back(y);
-      }
-    }
-    assert(found && "SCC is strongly connected: a v→u path must exist");
-    std::vector<const Edge*> back;
-    for (std::uint32_t cur = du; cur != dv;) {
-      const Edge* e = all_edges[pred[cur]];
-      back.push_back(e);
-      cur = dense(e->from);
-    }
-    lap_edges.insert(lap_edges.end(), back.rbegin(), back.rend());
-  }
-
-  SimWorld at_u = *ctx.root;
-  std::vector<Choice> witness = path_from_root(ctx, key.from, &at_u);
-  // Resolve the lap's choices hop by hop against the walked
-  // representatives (identity when symmetry is off).
-  std::vector<Choice> lap;
-  lap.reserve(lap_edges.size());
-  {
-    SimWorld world = at_u;
-    StateEncoder encoder;
-    EncodedState enc;
-    std::vector<std::uint32_t> order;
-    for (const Edge* e : lap_edges) {
-      Choice c = e->choice();
-      if (ctx.sym && e->slot != kNoSlot) {
-        encoder.encode(world, enc);
-        canonical_order(enc, order);
-        c.pid = order[e->slot];
-      }
-      lap.push_back(c);
-      world.apply(c);
-    }
-  }
-  if (ctx.sym) {
-    if (auto closed = close_symmetric_cycle(at_u, lap)) {
-      witness.insert(witness.end(), closed->begin(), closed->end());
-    } else {
-      witness.insert(witness.end(), lap.begin(), lap.end());
-    }
-  } else {
-    witness.insert(witness.end(), lap.begin(), lap.end());
-  }
-  scan.witness = std::move(witness);
-  return scan;
-}
-
 }  // namespace
 
 ExploreResult parallel_explore(const SimWorld& initial,
@@ -761,18 +551,19 @@ ExploreResult parallel_explore(const SimWorld& initial,
   // aborted run has not seen the whole graph, exactly like a capped or
   // first-violation-stopped sequential DFS).
   if (!aborted) {
-    const CycleScan scan = scan_for_cycles(ctx, locals);
-    if (scan.process_cycle_edges > 0) {
-      const std::uint64_t reported =
-          opts.stop_at_first_violation ? 1 : scan.process_cycle_edges;
-      result.violations_found += reported;
-      result.violations_by_kind[ViolationKind::kNontermination] += reported;
-      if (!result.violation && scan.witness) {
-        result.violation = Violation{
-            ViolationKind::kNontermination, std::move(*scan.witness),
-            "cycle in the state graph: a process can take steps forever"};
-      }
+    std::vector<std::uint32_t> shard_sizes;
+    for (const Shard& shard : ctx.shards) {
+      shard_sizes.push_back(static_cast<std::uint32_t>(shard.records.size()));
     }
+    std::vector<std::span<const CycleEdge>> edge_lists;
+    for (const WorkerLocal& l : locals) edge_lists.emplace_back(l.edges);
+    add_nontermination(
+        scan_cycles(shard_sizes, ctx.shard_bits, edge_lists), *ctx.root,
+        ctx.sym, opts,
+        [&ctx](std::uint32_t u, SimWorld* at_u) {
+          return path_from_root(ctx, u, at_u);
+        },
+        result);
   }
 
   result.complete =
@@ -794,7 +585,7 @@ ExploreResult parallel_explore(const SimWorld& initial,
     }
   }
   for (const WorkerLocal& l : locals) {
-    result.peak_bytes += l.edges.capacity() * sizeof(Edge);
+    result.peak_bytes += l.edges.capacity() * sizeof(CycleEdge);
   }
   return result;
 }

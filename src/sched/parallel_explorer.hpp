@@ -12,10 +12,12 @@
 //
 // Witnesses are reconstructed from per-state parent/choice back-pointers
 // recorded at first discovery; nontermination (a reachable cycle with a
-// process step) is detected after the frontier drains by a sequential
-// Tarjan SCC pass over the recorded transition edges — cycle detection
-// cannot ride on DFS back-edges here, because with a shared visited table
-// no single worker owns a root-to-state path.
+// process step) is detected after the workers join by the cycle scan
+// shared with frontier_explore (sched/cycle_scan.hpp: an in-degree peel
+// that settles an acyclic graph in linear time, then Tarjan SCCs over
+// what did not peel) — cycle detection cannot ride on DFS back-edges
+// here, because with a shared visited table no single worker owns a
+// root-to-state path.
 //
 // Differences from the sequential explorer, by design:
 //   * `violation` holds SOME violation, not the DFS-first one; its witness
