@@ -6,18 +6,19 @@
 //
 // Every registry-backed run is described as a verify::JobSpec and
 // executed through verify::instantiate()/execute() — the bench never
-// builds ExploreOptions for them by hand.  Two baselines are exempt by
+// builds ExploreOptions for them by hand.  Two references are exempt by
 // design: the retired hand-written machines (tests/legacy/) and the
-// faithful pre-PR-4 explorer replica below are not registry protocols,
-// so a JobSpec cannot name them; they stay raw worlds.
+// reference explorer below are not registry protocols, so a JobSpec
+// cannot name them; they stay raw worlds.
 //
 // Modes:
 //   (default)        google-benchmark suite (all BM_* below)
 //   --json <path>    write a machine-readable BENCH_B3.json report:
 //                    states/sec and peak state counts for the reduced
-//                    (symmetry + sleep sets), unreduced, pre-sized and
-//                    legacy-hot-path explorers on a symmetric reference
-//                    instance, plus reduction_factor, hotpath_speedup,
+//                    (symmetry), unreduced and pre-sized explorers on a
+//                    symmetric reference instance, plus reduction_factor,
+//                    census_states_match (the DFS census against an
+//                    independent reference explorer, gated),
 //                    ir_overhead (the ffgen-GENERATED machines
 //                    machine_factory selects vs the retired hand-written
 //                    machines, gated at <= 0.02), interpreter_overhead
@@ -79,7 +80,6 @@ verify::JobSpec staged_spec(std::uint64_t f, std::uint32_t t,
 /// Reduction-free variant (the raw-engine regime most sections measure).
 verify::JobSpec unreduced(verify::JobSpec spec) {
   spec.symmetry_reduction = false;
-  spec.sleep_sets = false;
   return spec;
 }
 
@@ -197,15 +197,14 @@ BENCHMARK(BM_SimWorldClone);
 
 // --- JSON report mode ------------------------------------------------------
 
-/// The pre-PR-4 explorer hot path, kept faithful as an in-file baseline
-/// so hotpath_speedup stays measurable after the real explorer moved on:
-/// per-child full world copy + apply, a full world.encode() per
-/// generated child (and again per frame pop), the pre-PR dual-SplitMix64
-/// fingerprint fold, node-based unordered containers for the visited set
-/// and the on-path cycle map, per-frame choice vectors — no flat table,
-/// no incremental encoding, no in-place stepping, no arenas, no
-/// reductions.  It runs the same census, terminal checks and back-edge
-/// cycle detection the old explore() ran.
+/// An independent reference explorer, the gated census_states_match
+/// compares the real explorer's state count against: per-child full
+/// world copy + apply, a full world.encode() per generated child (and
+/// again per frame pop), its own dual-SplitMix64 fingerprint fold,
+/// node-based unordered containers for the visited set and the on-path
+/// cycle map, per-frame choice vectors — no flat table, no incremental
+/// encoding, no in-place stepping, no arenas, no reductions.  It runs the
+/// same census, terminal checks and back-edge cycle detection.
 sched::detail::Fingerprint legacy_fingerprint(
     const std::vector<std::uint64_t>& encoded) {
   sched::detail::Fingerprint fp{0x243f6a8885a308d3ULL,
@@ -383,9 +382,8 @@ int write_report(const std::string& path, bool smoke) {
                 static_cast<double>(reduced.report.states_visited)
           : 0.0;
 
-  // Hot-path instance (reductions OFF throughout): new engine without
-  // and with the expected_states pre-sizing hint, against the faithful
-  // pre-PR baseline.
+  // Hot-path instance (reductions OFF throughout): the engine without and
+  // with the expected_states pre-sizing hint, and the reference count.
   const verify::JobSpec hot_spec = hotpath_reference();
   const verify::Instance hot_instance = verify::instantiate(hot_spec);
   const TimedExplore hot = timed_execute(hot_instance);
@@ -398,13 +396,8 @@ int write_report(const std::string& path, bool smoke) {
       verify::instantiate(presized_spec);
   const TimedExplore presized = timed_execute(presized_instance);
 
-  const auto legacy_start = std::chrono::steady_clock::now();
   const std::uint64_t legacy_states =
       legacy_explore_count(hot_instance.world());
-  const double legacy_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    legacy_start)
-          .count();
 
   const auto rate = [](std::uint64_t states, double seconds) {
     return seconds > 0 ? static_cast<double>(states) / seconds : 0.0;
@@ -429,7 +422,6 @@ int write_report(const std::string& path, bool smoke) {
   sched::ExploreOptions handwritten_opts;
   handwritten_opts.stop_at_first_violation = false;
   handwritten_opts.symmetry_reduction = false;
-  handwritten_opts.sleep_sets = false;
   // The overhead rounds run with the table pre-sized to the census (the
   // count is known from the hot run above): mid-run rehashes and the
   // page faults of growing a ~50MB table are per-run noise that lands
@@ -496,7 +488,6 @@ int write_report(const std::string& path, bool smoke) {
     spec.processes = 2;
     spec.stop_at_first_violation = false;
     spec.symmetry_reduction = false;
-    spec.sleep_sets = false;
     if (proto::build_program(info.name)->has_recovery()) {
       spec.crash_budget = 1;
     }
@@ -526,7 +517,6 @@ int write_report(const std::string& path, bool smoke) {
     spec.processes = 2;
     spec.stop_at_first_violation = false;
     spec.symmetry_reduction = false;
-    spec.sleep_sets = false;
     if (proto::build_program(info.name)->has_recovery()) {
       spec.crash_budget = 1;
     }
@@ -546,12 +536,6 @@ int write_report(const std::string& path, bool smoke) {
                 static_cast<double>(
                     std::max<std::uint64_t>(1, immune_checks));
 
-  const double legacy_rate = rate(legacy_states, legacy_seconds);
-  const double hotpath_speedup =
-      legacy_rate > 0
-          ? rate(presized.report.states_visited, presized.seconds) /
-                legacy_rate
-          : 0.0;
   const double presize_speedup =
       hot.seconds > 0 && presized.seconds > 0
           ? rate(presized.report.states_visited, presized.seconds) /
@@ -585,7 +569,6 @@ int write_report(const std::string& path, bool smoke) {
                hot.seconds, hot.report.max_depth);
   emit_section(w, "hotpath_presized", presized.report.states_visited,
                presized.seconds, presized.report.max_depth);
-  emit_section(w, "legacy_baseline", legacy_states, legacy_seconds, 0);
   emit_section(w, "generated_machines", generated_best.report.states_visited,
                generated_best.seconds, generated_best.report.max_depth);
   emit_section(w, "interpreted_machines",
@@ -594,7 +577,6 @@ int write_report(const std::string& path, bool smoke) {
   emit_section(w, "handwritten_machines",
                handwritten_best.report.states_visited,
                handwritten_best.seconds, handwritten_best.report.max_depth);
-  w.kv("hotpath_speedup", hotpath_speedup);
   w.kv("presize_speedup", presize_speedup);
   // Fractional slowdown of what machine_factory actually selects — the
   // ffgen-GENERATED machine — vs the hand-written machines (0.05 = 5%
@@ -629,7 +611,6 @@ int write_report(const std::string& path, bool smoke) {
   }
   out << w.str() << "\n";
   std::cout << "B3: reduction_factor=" << reduction_factor
-            << " hotpath_speedup=" << hotpath_speedup
             << " ir_overhead=" << ir_overhead
             << " interpreter_overhead=" << interpreter_overhead
             << " codegen_census_match=" << codegen_census_match

@@ -17,11 +17,7 @@
 //     in-memory census exactly while actually writing runs.
 //
 // Both sides of every pair are verify::JobSpecs run through
-// verify::instantiate()/execute().  The parallel job keeps sleep-set POR
-// on (its normal regime); the frontier job sets sleep_sets = false
-// because the engine — and JobSpec::validate() — rejects the
-// combination outright.  The censuses still compare equal: sleep sets
-// prune transitions, never states.
+// verify::instantiate()/execute(), differing only in the engine.
 //
 // Modes:
 //   (default)        google-benchmark suite (all BM_* below)
@@ -59,7 +55,6 @@ verify::JobSpec reference_spec(verify::Engine engine) {
   spec.engine = engine;
   spec.threads = kThreads;
   spec.stop_at_first_violation = false;
-  if (engine == verify::Engine::kFrontier) spec.sleep_sets = false;
   return spec;
 }
 

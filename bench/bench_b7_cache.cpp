@@ -40,9 +40,9 @@ namespace fs = std::filesystem;
 
 /// The reference job.  DFS engine: single-threaded search is the
 /// steadiest cold-side denominator, and cacheability is what B7 gates,
-/// not engine scaling (B6 owns that).  Smoke keeps the reductions on
-/// (~360k canonical states — a cold second, and 100x headroom over a
-/// warm disk read); the full report turns them off (~1.37M states).
+/// not engine scaling (B6 owns that).  Smoke keeps symmetry on (~360k
+/// canonical states — a cold second, and 100x headroom over a warm disk
+/// read); the full report turns it off (~1.37M states).
 verify::JobSpec reference_spec(bool smoke) {
   verify::JobSpec spec;
   spec.protocol = "staged";
@@ -50,10 +50,7 @@ verify::JobSpec reference_spec(bool smoke) {
   spec.t = 2;
   spec.processes = 3;
   spec.stop_at_first_violation = false;
-  if (!smoke) {
-    spec.symmetry_reduction = false;
-    spec.sleep_sets = false;
-  }
+  if (!smoke) spec.symmetry_reduction = false;
   return spec;
 }
 

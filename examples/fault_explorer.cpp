@@ -64,9 +64,7 @@ void print_usage() {
       "  --engine    dfs | parallel | frontier | fuzz | stress (default dfs;\n"
       "              --threads > 0 without --engine implies parallel).\n"
       "              frontier = batched owner-computes BFS wavefront engine\n"
-      "              (DESIGN.md §3i; sleep sets are a DFS notion — the job\n"
-      "              layer rejects the combination, this CLI disables them\n"
-      "              for frontier runs and says so)\n"
+      "              (DESIGN.md §3i)\n"
       "  --threads   worker threads for parallel/frontier;\n"
       "              0 = one per hardware thread                (default 0)\n"
       "  --spill-dir frontier only: directory for sorted census spill runs\n"
@@ -77,8 +75,6 @@ void print_usage() {
       "  --no-symmetry    disable process-symmetry reduction (explore one\n"
       "              state per permutation orbit — DESIGN.md §3d);\n"
       "              also disables the fuzzer's canonical novelty signal\n"
-      "  --no-sleep-sets  disable sleep-set partial-order reduction\n"
-      "              (explorers only; prunes transitions, never states)\n"
       "  --analyze   print the ffcheck analysis report (footprints,\n"
       "              overriding-immunity, loop bounds, recovery proof)\n"
       "              for --protocol and exit; nonzero if violated\n"
@@ -236,7 +232,6 @@ verify::JobSpec spec_from_cli(const util::Cli& cli) {
       cli.get_uint("crash-budget", cli.has("crashes") ? 1 : 0));
   spec.killed_is_violation = spec.kind == model::FaultKind::kNonresponsive;
   spec.symmetry_reduction = !cli.has("no-symmetry");
-  spec.sleep_sets = !cli.has("no-sleep-sets");
   spec.immunity_pruning = !cli.has("no-immunity-pruning");
   spec.max_states = cli.get_uint("state-cap", 4'000'000);
 
@@ -248,11 +243,6 @@ verify::JobSpec spec_from_cli(const util::Cli& cli) {
       cli.get_string("engine", spec.threads > 0 ? "parallel" : "dfs");
   if (cli.has("fuzz")) engine = "fuzz";
   spec.engine = verify::engine_from_string(engine);
-  if (spec.engine == verify::Engine::kFrontier && spec.sleep_sets) {
-    std::cout << "note: sleep sets are a DFS-path notion; disabled for the "
-                 "frontier (BFS) engine\n";
-    spec.sleep_sets = false;
-  }
   spec.spill_dir = cli.get_string("spill-dir", "");
   spec.mem_limit_bytes =
       cli.get_uint("mem-limit-mb", 0) * (std::uint64_t{1} << 20);

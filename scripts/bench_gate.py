@@ -6,10 +6,11 @@ Usage: scripts/bench_gate.py <BENCH_B3.json> [<BENCH_B5.json> ...]
 Each report is dispatched on its "bench" field.
 
 B3 gates (smoke and full mode alike):
-  * census_states_match is true — the reduced explorer visited a state
-    set consistent with the unreduced census (differential soundness);
-  * reduction_factor >= 5 — symmetry + sleep sets shrink the symmetric
-    reference instance by at least 5x;
+  * census_states_match is true — the DFS engine's state count on the
+    hot-path instance equals an independent reference explorer's, with
+    and without table pre-sizing (differential soundness);
+  * reduction_factor >= 5 — symmetry shrinks the symmetric reference
+    instance by at least 5x;
   * ir_census_match is true — the IrMachine interpreter and the retired
     hand-written machines explore the identical state graph;
   * ir_overhead <= 0.02 — the ffgen-GENERATED machines machine_factory

@@ -13,7 +13,8 @@
 #      fuzz campaign per seed protocol);
 #   4. FF_SANITIZE=thread build → the multi-threaded suites (label `tsan`,
 #      i.e. the parallel-explorer and frontier-explorer differential
-#      harnesses and the real-thread stress suites, the
+#      harnesses, a parallel worker's exception rethrown to the caller,
+#      and the real-thread stress suites, the
 #      crashed-and-restarted worker threads of the recoverable-consensus
 #      campaign included, and the census cache's concurrent same-key
 #      writers) under ThreadSanitizer;

@@ -748,17 +748,17 @@ AnalysisReport analyze(const Program& p) {
   const Fixpoint agnostic(p, Deliveries::kUnconstrained);
 
   // ---- A1: static footprints -----------------------------------------
-  r.footprints.assign(n, sched::StaticFootprint{});
+  r.footprints.assign(n, StaticFootprint{});
   for (std::uint32_t pc = 0; pc < n; ++pc) {
     const Op& op = p.ops()[pc];
     if (op.kind != OpKind::kCas && op.kind != OpKind::kRegRead &&
         op.kind != OpKind::kRegWrite) {
       continue;  // local ops and queue ops keep Space::kNone
     }
-    sched::StaticFootprint& fp = r.footprints[pc];
+    StaticFootprint& fp = r.footprints[pc];
     fp.space = op.kind == OpKind::kCas
-                   ? sched::StaticFootprint::Space::kObject
-                   : sched::StaticFootprint::Space::kRegister;
+                   ? StaticFootprint::Space::kObject
+                   : StaticFootprint::Space::kRegister;
     fp.writes = op.kind != OpKind::kRegRead;
     fp.lo = 0;
     fp.hi = op.index_bound;
@@ -1024,7 +1024,6 @@ AnalysisReport analyze(const Program& p) {
 std::shared_ptr<const sched::ProgramFacts> make_facts(
     const AnalysisReport& report) {
   auto facts = std::make_shared<sched::ProgramFacts>();
-  facts->footprints = report.footprints;
   facts->immune_objects = report.immune_objects;
   return facts;
 }
@@ -1128,11 +1127,11 @@ void render_json(const AnalysisReport& r, util::JsonWriter& w) {
   w.kv("exact_sites", u64(r.exact_sites));
   w.key("footprints").begin_array();
   for (std::uint32_t pc = 0; pc < r.footprints.size(); ++pc) {
-    const sched::StaticFootprint& fp = r.footprints[pc];
-    if (fp.space == sched::StaticFootprint::Space::kNone) continue;
+    const StaticFootprint& fp = r.footprints[pc];
+    if (fp.space == StaticFootprint::Space::kNone) continue;
     w.begin_object();
     w.kv("pc", u64(pc));
-    w.kv("space", fp.space == sched::StaticFootprint::Space::kObject
+    w.kv("space", fp.space == StaticFootprint::Space::kObject
                       ? "object"
                       : "register");
     w.kv("exact", fp.exact);

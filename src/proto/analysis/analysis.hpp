@@ -6,10 +6,8 @@
 // abstract interpretation to a fixpoint, and discharges five analyses:
 //
 //   A1  static footprints — a per-pc may-touch interval over the shared
-//       object/register namespaces, exported to sched/facts.hpp so
-//       sleep-set POR can consult the STATIC independence relation
-//       (exact singleton sites) ahead of stepping, with the dynamic
-//       pending-op footprint kept as a debug cross-check;
+//       object/register namespaces (exact when the index is a single
+//       constant), reported as a certificate;
 //   A2  overriding-immunity — a per-object proof that no reachable CAS
 //       can ever satisfy the overriding-fault manifest condition
 //       (before ≠ expected ∧ before ≠ desired), so the fault branch may
@@ -95,6 +93,25 @@ struct RecoveryWitness {
   std::vector<std::uint32_t> path;  ///< recovery_pc .. read_pc
 };
 
+/// A1 static may-touch footprint of one pause site (program counter).
+struct StaticFootprint {
+  enum class Space : std::uint8_t {
+    kNone,      ///< not a shared CAS/register op (local op, halt, queue)
+    kObject,    ///< CAS object namespace
+    kRegister,  ///< read/write register namespace
+  };
+  Space space = Space::kNone;
+  /// True when the abstract index is a single constant: [lo, lo+1) and
+  /// the static footprint equals the dynamic one at every reachable
+  /// state.  Non-exact entries only bound the dynamic location.
+  bool exact = false;
+  /// False only for register reads; CAS steps always count as writes.
+  bool writes = true;
+  /// May-touch interval [lo, hi) over the space's index namespace.
+  std::uint32_t lo = 0;
+  std::uint32_t hi = 0;
+};
+
 /// A5 violation: `local` is live at pause point `pc` but missing from
 /// the encode() layout.
 struct CoverageViolation {
@@ -112,7 +129,7 @@ struct AnalysisReport {
 
   // A1 — always computable (fact-producing; verdict stays kProved).
   Verdict a1 = Verdict::kProved;
-  std::vector<sched::StaticFootprint> footprints;  ///< indexed by pc
+  std::vector<StaticFootprint> footprints;  ///< indexed by pc
   std::uint32_t shared_sites = 0;
   std::uint32_t exact_sites = 0;
 
@@ -148,8 +165,8 @@ struct AnalysisReport {
 /// Runs all five analyses over a finalized program.
 [[nodiscard]] AnalysisReport analyze(const Program& program);
 
-/// Distills a report into the scheduler-facing facts (A1 footprints +
-/// A2 immunity mask; sched/facts.hpp).
+/// Distills a report into the scheduler-facing facts (the A2 immunity
+/// mask; sched/facts.hpp).
 [[nodiscard]] std::shared_ptr<const sched::ProgramFacts> make_facts(
     const AnalysisReport& report);
 

@@ -73,8 +73,7 @@ class GenMachineFactory final : public sched::MachineFactory {
   /// ffcheck facts for the Program the machines were generated from;
   /// lazy, once per factory (defined in analysis/analysis.cpp).  Sound
   /// for the generated machines because codegen is semantics-preserving
-  /// (the census differential in tests/test_codegen.cpp pins that) and
-  /// they report the same per-op pcs via pending_site().
+  /// (the census differential in tests/test_codegen.cpp pins that).
   [[nodiscard]] std::shared_ptr<const sched::ProgramFacts> facts()
       const override;
 

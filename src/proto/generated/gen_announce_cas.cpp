@@ -1,5 +1,5 @@
 // @generated by ffgen -- DO NOT EDIT; regenerate with tools/ffgen.
-// checksum: 656002fe04d5739a
+// checksum: c30eea30e557b374
 //
 // Machines for protocol "announce-cas" — straight-line compilation of its proto::Program grid
 // points.  See src/proto/genapi.hpp for the runtime seam and
@@ -43,9 +43,6 @@ class M_announce_cas_n2 final : public sched::StepMachine {
   [[nodiscard]] bool done() const override { return halted_; }
   [[nodiscard]] std::uint64_t decision() const override {
     return decision_;
-  }
-  [[nodiscard]] std::uint32_t pending_site() const override {
-    return halted_ ? sched::kNoSite : pc_;
   }
 
   void encode(std::vector<std::uint64_t>& out) const override {
@@ -159,9 +156,6 @@ class M_announce_cas_n3 final : public sched::StepMachine {
   [[nodiscard]] std::uint64_t decision() const override {
     return decision_;
   }
-  [[nodiscard]] std::uint32_t pending_site() const override {
-    return halted_ ? sched::kNoSite : pc_;
-  }
 
   void encode(std::vector<std::uint64_t>& out) const override {
     out.push_back(l0_);
@@ -274,9 +268,6 @@ class M_announce_cas_n4 final : public sched::StepMachine {
   [[nodiscard]] std::uint64_t decision() const override {
     return decision_;
   }
-  [[nodiscard]] std::uint32_t pending_site() const override {
-    return halted_ ? sched::kNoSite : pc_;
-  }
 
   void encode(std::vector<std::uint64_t>& out) const override {
     out.push_back(l0_);
@@ -388,9 +379,6 @@ class M_announce_cas_n5 final : public sched::StepMachine {
   [[nodiscard]] bool done() const override { return halted_; }
   [[nodiscard]] std::uint64_t decision() const override {
     return decision_;
-  }
-  [[nodiscard]] std::uint32_t pending_site() const override {
-    return halted_ ? sched::kNoSite : pc_;
   }
 
   void encode(std::vector<std::uint64_t>& out) const override {

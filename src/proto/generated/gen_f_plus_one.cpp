@@ -1,5 +1,5 @@
 // @generated by ffgen -- DO NOT EDIT; regenerate with tools/ffgen.
-// checksum: 2231c3ee1988cfba
+// checksum: 23f8f67b82034778
 //
 // Machines for protocol "f-plus-one" — straight-line compilation of its proto::Program grid
 // points.  See src/proto/genapi.hpp for the runtime seam and
@@ -40,9 +40,6 @@ class M_f_plus_one_k1 final : public sched::StepMachine {
   [[nodiscard]] bool done() const override { return halted_; }
   [[nodiscard]] std::uint64_t decision() const override {
     return decision_;
-  }
-  [[nodiscard]] std::uint32_t pending_site() const override {
-    return halted_ ? sched::kNoSite : pc_;
   }
 
   void encode(std::vector<std::uint64_t>& out) const override {
@@ -128,9 +125,6 @@ class M_f_plus_one_k2 final : public sched::StepMachine {
   [[nodiscard]] std::uint64_t decision() const override {
     return decision_;
   }
-  [[nodiscard]] std::uint32_t pending_site() const override {
-    return halted_ ? sched::kNoSite : pc_;
-  }
 
   void encode(std::vector<std::uint64_t>& out) const override {
     out.push_back(l0_);
@@ -215,9 +209,6 @@ class M_f_plus_one_k3 final : public sched::StepMachine {
   [[nodiscard]] std::uint64_t decision() const override {
     return decision_;
   }
-  [[nodiscard]] std::uint32_t pending_site() const override {
-    return halted_ ? sched::kNoSite : pc_;
-  }
 
   void encode(std::vector<std::uint64_t>& out) const override {
     out.push_back(l0_);
@@ -301,9 +292,6 @@ class M_f_plus_one_k4 final : public sched::StepMachine {
   [[nodiscard]] bool done() const override { return halted_; }
   [[nodiscard]] std::uint64_t decision() const override {
     return decision_;
-  }
-  [[nodiscard]] std::uint32_t pending_site() const override {
-    return halted_ ? sched::kNoSite : pc_;
   }
 
   void encode(std::vector<std::uint64_t>& out) const override {

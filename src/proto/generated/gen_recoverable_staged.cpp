@@ -1,5 +1,5 @@
 // @generated by ffgen -- DO NOT EDIT; regenerate with tools/ffgen.
-// checksum: 2457484cf2f92e00
+// checksum: 31f0309b07adcfa8
 //
 // Machines for protocol "recoverable-staged" — straight-line compilation of its proto::Program grid
 // points.  See src/proto/genapi.hpp for the runtime seam and
@@ -43,9 +43,6 @@ class M_recoverable_staged_f1t1 final : public sched::StepMachine {
   [[nodiscard]] bool done() const override { return halted_; }
   [[nodiscard]] std::uint64_t decision() const override {
     return decision_;
-  }
-  [[nodiscard]] std::uint32_t pending_site() const override {
-    return halted_ ? sched::kNoSite : pc_;
   }
 
   void encode(std::vector<std::uint64_t>& out) const override {
@@ -187,9 +184,6 @@ class M_recoverable_staged_f1t2 final : public sched::StepMachine {
   [[nodiscard]] std::uint64_t decision() const override {
     return decision_;
   }
-  [[nodiscard]] std::uint32_t pending_site() const override {
-    return halted_ ? sched::kNoSite : pc_;
-  }
 
   void encode(std::vector<std::uint64_t>& out) const override {
     out.push_back(l0_);
@@ -329,9 +323,6 @@ class M_recoverable_staged_f1t3 final : public sched::StepMachine {
   [[nodiscard]] bool done() const override { return halted_; }
   [[nodiscard]] std::uint64_t decision() const override {
     return decision_;
-  }
-  [[nodiscard]] std::uint32_t pending_site() const override {
-    return halted_ ? sched::kNoSite : pc_;
   }
 
   void encode(std::vector<std::uint64_t>& out) const override {
@@ -473,9 +464,6 @@ class M_recoverable_staged_f2t1 final : public sched::StepMachine {
   [[nodiscard]] std::uint64_t decision() const override {
     return decision_;
   }
-  [[nodiscard]] std::uint32_t pending_site() const override {
-    return halted_ ? sched::kNoSite : pc_;
-  }
 
   void encode(std::vector<std::uint64_t>& out) const override {
     out.push_back(l0_);
@@ -616,9 +604,6 @@ class M_recoverable_staged_f2t2 final : public sched::StepMachine {
   [[nodiscard]] std::uint64_t decision() const override {
     return decision_;
   }
-  [[nodiscard]] std::uint32_t pending_site() const override {
-    return halted_ ? sched::kNoSite : pc_;
-  }
 
   void encode(std::vector<std::uint64_t>& out) const override {
     out.push_back(l0_);
@@ -758,9 +743,6 @@ class M_recoverable_staged_f3t2 final : public sched::StepMachine {
   [[nodiscard]] bool done() const override { return halted_; }
   [[nodiscard]] std::uint64_t decision() const override {
     return decision_;
-  }
-  [[nodiscard]] std::uint32_t pending_site() const override {
-    return halted_ ? sched::kNoSite : pc_;
   }
 
   void encode(std::vector<std::uint64_t>& out) const override {

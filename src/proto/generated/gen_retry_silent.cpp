@@ -1,5 +1,5 @@
 // @generated by ffgen -- DO NOT EDIT; regenerate with tools/ffgen.
-// checksum: 80f43ba9fb0643ba
+// checksum: 9d41008597c95f5e
 //
 // Machines for protocol "retry-silent" — straight-line compilation of its proto::Program grid
 // points.  See src/proto/genapi.hpp for the runtime seam and
@@ -40,9 +40,6 @@ class M_retry_silent final : public sched::StepMachine {
   [[nodiscard]] bool done() const override { return halted_; }
   [[nodiscard]] std::uint64_t decision() const override {
     return decision_;
-  }
-  [[nodiscard]] std::uint32_t pending_site() const override {
-    return halted_ ? sched::kNoSite : pc_;
   }
 
   void encode(std::vector<std::uint64_t>& out) const override {

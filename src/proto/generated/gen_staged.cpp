@@ -1,5 +1,5 @@
 // @generated by ffgen -- DO NOT EDIT; regenerate with tools/ffgen.
-// checksum: e008af9c264e1448
+// checksum: 2abfe3b01695cc68
 //
 // Machines for protocol "staged" — straight-line compilation of its proto::Program grid
 // points.  See src/proto/genapi.hpp for the runtime seam and
@@ -43,9 +43,6 @@ class M_staged_f1t1 final : public sched::StepMachine {
   [[nodiscard]] bool done() const override { return halted_; }
   [[nodiscard]] std::uint64_t decision() const override {
     return decision_;
-  }
-  [[nodiscard]] std::uint32_t pending_site() const override {
-    return halted_ ? sched::kNoSite : pc_;
   }
 
   void encode(std::vector<std::uint64_t>& out) const override {
@@ -178,9 +175,6 @@ class M_staged_f1t2 final : public sched::StepMachine {
   [[nodiscard]] std::uint64_t decision() const override {
     return decision_;
   }
-  [[nodiscard]] std::uint32_t pending_site() const override {
-    return halted_ ? sched::kNoSite : pc_;
-  }
 
   void encode(std::vector<std::uint64_t>& out) const override {
     out.push_back(l0_);
@@ -311,9 +305,6 @@ class M_staged_f1t3 final : public sched::StepMachine {
   [[nodiscard]] bool done() const override { return halted_; }
   [[nodiscard]] std::uint64_t decision() const override {
     return decision_;
-  }
-  [[nodiscard]] std::uint32_t pending_site() const override {
-    return halted_ ? sched::kNoSite : pc_;
   }
 
   void encode(std::vector<std::uint64_t>& out) const override {
@@ -446,9 +437,6 @@ class M_staged_f2t1 final : public sched::StepMachine {
   [[nodiscard]] std::uint64_t decision() const override {
     return decision_;
   }
-  [[nodiscard]] std::uint32_t pending_site() const override {
-    return halted_ ? sched::kNoSite : pc_;
-  }
 
   void encode(std::vector<std::uint64_t>& out) const override {
     out.push_back(l0_);
@@ -580,9 +568,6 @@ class M_staged_f2t2 final : public sched::StepMachine {
   [[nodiscard]] std::uint64_t decision() const override {
     return decision_;
   }
-  [[nodiscard]] std::uint32_t pending_site() const override {
-    return halted_ ? sched::kNoSite : pc_;
-  }
 
   void encode(std::vector<std::uint64_t>& out) const override {
     out.push_back(l0_);
@@ -713,9 +698,6 @@ class M_staged_f3t2 final : public sched::StepMachine {
   [[nodiscard]] bool done() const override { return halted_; }
   [[nodiscard]] std::uint64_t decision() const override {
     return decision_;
-  }
-  [[nodiscard]] std::uint32_t pending_site() const override {
-    return halted_ ? sched::kNoSite : pc_;
   }
 
   void encode(std::vector<std::uint64_t>& out) const override {

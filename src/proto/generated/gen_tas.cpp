@@ -1,5 +1,5 @@
 // @generated by ffgen -- DO NOT EDIT; regenerate with tools/ffgen.
-// checksum: 1b58c5c8b37c1062
+// checksum: 0d7cef09e0da2954
 //
 // Machines for protocol "tas" — straight-line compilation of its proto::Program grid
 // points.  See src/proto/genapi.hpp for the runtime seam and
@@ -42,9 +42,6 @@ class M_tas_n2 final : public sched::StepMachine {
   [[nodiscard]] bool done() const override { return halted_; }
   [[nodiscard]] std::uint64_t decision() const override {
     return decision_;
-  }
-  [[nodiscard]] std::uint32_t pending_site() const override {
-    return halted_ ? sched::kNoSite : pc_;
   }
 
   void encode(std::vector<std::uint64_t>& out) const override {
@@ -162,9 +159,6 @@ class M_tas_n3 final : public sched::StepMachine {
   [[nodiscard]] std::uint64_t decision() const override {
     return decision_;
   }
-  [[nodiscard]] std::uint32_t pending_site() const override {
-    return halted_ ? sched::kNoSite : pc_;
-  }
 
   void encode(std::vector<std::uint64_t>& out) const override {
     out.push_back(l0_);
@@ -281,9 +275,6 @@ class M_tas_n4 final : public sched::StepMachine {
   [[nodiscard]] std::uint64_t decision() const override {
     return decision_;
   }
-  [[nodiscard]] std::uint32_t pending_site() const override {
-    return halted_ ? sched::kNoSite : pc_;
-  }
 
   void encode(std::vector<std::uint64_t>& out) const override {
     out.push_back(l0_);
@@ -399,9 +390,6 @@ class M_tas_n5 final : public sched::StepMachine {
   [[nodiscard]] bool done() const override { return halted_; }
   [[nodiscard]] std::uint64_t decision() const override {
     return decision_;
-  }
-  [[nodiscard]] std::uint32_t pending_site() const override {
-    return halted_ ? sched::kNoSite : pc_;
   }
 
   void encode(std::vector<std::uint64_t>& out) const override {

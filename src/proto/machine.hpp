@@ -69,12 +69,6 @@ class IrMachine final : public sched::StepMachine {
   /// layout determines it — the dynamic half of encode() soundness).
   [[nodiscard]] std::uint32_t pc() const noexcept { return pc_; }
 
-  /// The pending op's pc doubles as the index into the factory's static
-  /// footprint table (sched/facts.hpp).
-  [[nodiscard]] std::uint32_t pending_site() const override {
-    return halted_ ? sched::kNoSite : pc_;
-  }
-
   /// Crash–recovery (StepMachine overrides).  A crash wipes every
   /// volatile local to 0, preserves the persistent locals, drops the
   /// pending op, and re-enters the program at the recovery entry —

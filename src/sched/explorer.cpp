@@ -29,16 +29,14 @@ ExploreResult explore(const SimWorld& initial, const ExploreOptions& options) {
 
   const bool sym =
       options.symmetry_reduction && initial.processes_symmetric();
-  const bool por = options.sleep_sets;
 
   constexpr std::uint32_t kNotOnPath = 0xFFFFFFFFu;
 
-  // DFS frames index into shared arenas instead of owning vectors: the
-  // frame's arrival sleep set and its transition list live contiguously
-  // in choice_arena (footprints parallel in foot_arena), and frame pops
-  // truncate LIFO-style.  Worlds and encodings stay REAL (one concrete
-  // representative); only the memoization key is canonicalized, so every
-  // recorded witness is a directly replayable schedule.
+  // DFS frames index into a shared arena instead of owning vectors: a
+  // frame's transition list lives contiguously in choice_arena, and frame
+  // pops truncate it LIFO-style.  Worlds and encodings stay REAL (one
+  // concrete representative); only the memoization key is canonicalized,
+  // so every recorded witness is a directly replayable schedule.
   //
   // Frames do NOT own worlds.  The stack is always a root-to-current
   // path, so a single world (`cur`) is stepped in place on descent and
@@ -48,10 +46,6 @@ ExploreResult explore(const SimWorld& initial, const ExploreOptions& options) {
   struct Frame {
     EncodedState enc;
     std::uint32_t id = 0;
-    std::uint32_t prev_path_frame = kNotOnPath;
-    std::uint32_t arena_base = 0;
-    std::uint32_t sleep_off = 0;
-    std::uint32_t sleep_count = 0;
     std::uint32_t tran_off = 0;
     std::uint32_t tran_count = 0;
     std::uint32_t next = 0;
@@ -63,23 +57,17 @@ ExploreResult explore(const SimWorld& initial, const ExploreOptions& options) {
   FlatFpMap table(table_hint(options));
   std::uint32_t next_id = 0;
 
-  // Per-state side data, indexed by the dense id the table hands out.
-  std::vector<std::uint32_t> path_frame;  // frame index while on DFS path
-  // Stored sleep set (Godefroid state matching): canonical keys, sorted,
-  // as (begin, end) spans into the append-only sleep_store arena.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> sleep_span;
-  std::vector<std::uint64_t> sleep_store;
+  // Frame index of each state while it is on the DFS path, indexed by the
+  // dense id the table hands out.
+  std::vector<std::uint32_t> path_frame;
 
   std::vector<Frame> stack;
   std::vector<Choice> choice_arena;
-  std::vector<Footprint> foot_arena;
   std::vector<Choice> path;
   stack.reserve(256);
   choice_arena.reserve(4096);
   path.reserve(1024);
-  const std::size_t hint = table_hint(options);
-  path_frame.reserve(hint);
-  sleep_span.reserve(por ? hint : 0);
+  path_frame.reserve(table_hint(options));
 
   // The one concrete world, stepped in place.  undo_stack[i] rolls the
   // world back from frame i's state to frame i-1's; the slots are reused
@@ -92,74 +80,18 @@ ExploreResult explore(const SimWorld& initial, const ExploreOptions& options) {
     return undo_stack[i];
   };
 
-  // Reusable scratch (cleared per use).
-  EncodedState child_enc;
-  std::vector<Choice> child_sleep;
-  std::vector<Choice> missing_choices;
-  std::vector<std::uint32_t> order_scratch;
-  std::vector<std::uint32_t> slot_scratch;
-  std::vector<std::uint64_t> keys_scratch;
-  std::vector<std::uint64_t> missing_keys;
-  std::vector<std::uint64_t> inter_keys;
-  const std::vector<std::uint32_t> kIdentity;  // empty = identity mapping
-
-  // Sorted canonical keys of `cs`, slotted against encoding `e`.
-  auto keys_of = [&](const std::vector<Choice>& cs, const EncodedState& e)
-      -> const std::vector<std::uint64_t>& {
-    keys_scratch.clear();
-    if (cs.empty()) return keys_scratch;
-    slot_scratch.clear();
-    if (sym) canonical_slots(e, slot_scratch);
-    for (const Choice& c : cs) {
-      keys_scratch.push_back(sleep_key(c, sym ? slot_scratch : kIdentity));
-    }
-    std::sort(keys_scratch.begin(), keys_scratch.end());
-    return keys_scratch;
-  };
-
-  auto store_keys = [&](const std::vector<std::uint64_t>& keys)
-      -> std::pair<std::uint32_t, std::uint32_t> {
-    if (keys.empty()) return {0, 0};
-    const auto begin = static_cast<std::uint32_t>(sleep_store.size());
-    sleep_store.insert(sleep_store.end(), keys.begin(), keys.end());
-    return {begin, static_cast<std::uint32_t>(sleep_store.size())};
-  };
+  EncodedState child_enc;  // reusable scratch
 
   // Pushes a frame for the state `cur` currently holds.
   auto push_frame = [&](EncodedState&& enc, std::uint32_t id,
-                        std::uint32_t depth,
-                        const std::vector<Choice>& arrival_sleep,
-                        const std::vector<Choice>* explicit_trans) {
-    const auto arena_base = static_cast<std::uint32_t>(choice_arena.size());
-    choice_arena.insert(choice_arena.end(), arrival_sleep.begin(),
-                        arrival_sleep.end());
-    const auto sleep_count =
-        static_cast<std::uint32_t>(arrival_sleep.size());
+                        std::uint32_t depth) {
     const auto tran_off = static_cast<std::uint32_t>(choice_arena.size());
-    if (explicit_trans != nullptr) {
-      choice_arena.insert(choice_arena.end(), explicit_trans->begin(),
-                          explicit_trans->end());
-    } else {
-      for (const Choice& c : cur.enabled()) {
-        if (por && std::find(arrival_sleep.begin(), arrival_sleep.end(), c) !=
-                       arrival_sleep.end()) {
-          continue;  // asleep: an equivalent interleaving is explored
-        }
-        choice_arena.push_back(c);
-      }
-    }
-    const auto tran_count =
-        static_cast<std::uint32_t>(choice_arena.size()) - tran_off;
-    if (por) {
-      foot_arena.resize(choice_arena.size());
-      for (std::size_t i = arena_base; i < choice_arena.size(); ++i) {
-        foot_arena[i] = footprint_of(cur, choice_arena[i]);
-      }
-    }
-    const std::uint32_t prev = path_frame[id];
+    const std::vector<Choice> enabled = cur.enabled();
+    choice_arena.insert(choice_arena.end(), enabled.begin(), enabled.end());
     path_frame[id] = static_cast<std::uint32_t>(stack.size());
-    stack.push_back(Frame{std::move(enc), id, prev, arena_base, arena_base,
-                          sleep_count, tran_off, tran_count, 0, depth});
+    stack.push_back(Frame{std::move(enc), id, tran_off,
+                          static_cast<std::uint32_t>(enabled.size()), 0,
+                          depth});
   };
 
   auto record_terminal = [&](const SimWorld& world) {
@@ -184,7 +116,6 @@ ExploreResult explore(const SimWorld& initial, const ExploreOptions& options) {
   encoder.encode(initial, root_enc);
   table.insert_or_get(fingerprint_state(root_enc, sym), next_id++);
   path_frame.push_back(kNotOnPath);
-  sleep_span.emplace_back(0, 0);
   result.states_visited = 1;
 
   if (initial.terminal()) {
@@ -198,33 +129,26 @@ ExploreResult explore(const SimWorld& initial, const ExploreOptions& options) {
     return result;
   }
 
-  push_frame(std::move(root_enc), 0, 0, {}, nullptr);
+  push_frame(std::move(root_enc), 0, 0);
 
   bool aborted = false;
   while (!stack.empty()) {
     Frame& frame = stack.back();
     if (frame.next >= frame.tran_count) {
-      path_frame[frame.id] = frame.prev_path_frame;
+      path_frame[frame.id] = kNotOnPath;
       path.resize(frame.depth == 0 ? 0 : frame.depth - 1);
-      choice_arena.resize(frame.arena_base);
-      if (foot_arena.size() > frame.arena_base) {
-        foot_arena.resize(frame.arena_base);
-      }
+      choice_arena.resize(frame.tran_off);
       if (stack.size() > 1) cur.undo_step(undo_stack[stack.size() - 1]);
       stack.pop_back();
       continue;
     }
 
-    const std::uint32_t ti = frame.next++;
-    const Choice choice = choice_arena[frame.tran_off + ti];
+    const Choice choice = choice_arena[frame.tran_off + frame.next++];
     // Expand in place (StepUndo): `cur` steps forward; if the child turns
     // out to be a duplicate or terminal it is rolled back immediately, if
     // it becomes a frame the undo stays on undo_stack until that frame
     // pops.  Either way the step costs one machine clone, never a full
-    // world copy.  Everything the child-side logic below consumes
-    // (footprints, transition lists, sibling sleeps) was precomputed into
-    // the arenas at push time, so the parent world being mutated out from
-    // under the frame is never observed.
+    // world copy.
     SimWorld::StepUndo& undo = undo_slot(stack.size());
     cur.apply_with_undo(choice, undo);
     encoder.patch(cur, frame.enc, choice.pid, child_enc);
@@ -234,31 +158,10 @@ ExploreResult explore(const SimWorld& initial, const ExploreOptions& options) {
     path.push_back(choice);
     result.max_depth = std::max<std::uint64_t>(result.max_depth, path.size());
 
-    // Sleep set the child arrives with: every still-independent member of
-    // this frame's arrival sleep, plus every earlier-explored transition
-    // of this frame that is independent of the chosen step (Godefroid).
-    child_sleep.clear();
-    if (por) {
-      const Footprint& fc = foot_arena[frame.tran_off + ti];
-      for (std::uint32_t i = 0; i < frame.sleep_count; ++i) {
-        const Choice& s = choice_arena[frame.sleep_off + i];
-        if (independent(s, foot_arena[frame.sleep_off + i], choice, fc)) {
-          child_sleep.push_back(s);
-        }
-      }
-      for (std::uint32_t j = 0; j < ti; ++j) {
-        const Choice& e = choice_arena[frame.tran_off + j];
-        if (independent(e, foot_arena[frame.tran_off + j], choice, fc)) {
-          child_sleep.push_back(e);
-        }
-      }
-    }
-
     const std::uint32_t existing = table.insert_or_get(fp, next_id);
     if (existing == FlatFpMap::kNoValue) {
       const std::uint32_t id = next_id++;
       path_frame.push_back(kNotOnPath);
-      sleep_span.push_back(store_keys(keys_of(child_sleep, child_enc)));
       ++result.states_visited;
       if (options.max_states != 0 &&
           result.states_visited > options.max_states) {
@@ -276,55 +179,17 @@ ExploreResult explore(const SimWorld& initial, const ExploreOptions& options) {
         continue;
       }
       const auto depth = static_cast<std::uint32_t>(path.size());
-      push_frame(std::move(child_enc), id, depth, child_sleep, nullptr);
+      push_frame(std::move(child_enc), id, depth);
       continue;
     }
 
-    const std::uint32_t v = existing;
-
-    // Godefroid state matching (decided before rolling back, while
-    // child_enc is live): if this arrival carries a smaller sleep set
-    // than the state was explored with, the difference was pruned under
-    // an assumption that no longer holds — those transitions must be
-    // re-expanded below.
-    bool reexpand = false;
-    if (por) {
-      const auto& arrival_keys = keys_of(child_sleep, child_enc);
-      const auto [sbegin, send] = sleep_span[v];
-      missing_keys.clear();
-      if (send > sbegin) {
-        std::set_difference(sleep_store.begin() + sbegin,
-                            sleep_store.begin() + send, arrival_keys.begin(),
-                            arrival_keys.end(),
-                            std::back_inserter(missing_keys));
-      }
-      if (!missing_keys.empty()) {
-        reexpand = true;
-        inter_keys.clear();
-        std::set_intersection(sleep_store.begin() + sbegin,
-                              sleep_store.begin() + send,
-                              arrival_keys.begin(), arrival_keys.end(),
-                              std::back_inserter(inter_keys));
-        sleep_span[v] = store_keys(inter_keys);
-        order_scratch.clear();
-        if (sym) canonical_order(child_enc, order_scratch);
-        missing_choices.clear();
-        for (const std::uint64_t key : missing_keys) {
-          missing_choices.push_back(resolve_sleep_key(key, order_scratch));
-        }
-      }
-    }
-    // When re-expanding, `cur` stays at the child state (the undo stays
-    // on the stack and rolls back when the pushed frame pops); otherwise
-    // roll back to the parent now.
-    if (!reexpand) cur.undo_step(undo);
-
-    if (path_frame[v] != kNotOnPath) {
+    cur.undo_step(undo);
+    if (path_frame[existing] != kNotOnPath) {
       // Back-edge: the child is (an orbit-mate of) a state on the current
       // path — an infinite execution exists.  It violates wait-freedom
       // only if a process (not the corruption adversary) steps within the
       // repeating segment.
-      const Frame& anc = stack[path_frame[v]];
+      const Frame& anc = stack[path_frame[existing]];
       bool process_steps = false;
       for (std::size_t i = anc.depth; i < path.size(); ++i) {
         if (path[i].pid != kAdversaryPid) {
@@ -366,14 +231,6 @@ ExploreResult explore(const SimWorld& initial, const ExploreOptions& options) {
         }
       }
     }
-
-    if (reexpand) {
-      const auto depth = static_cast<std::uint32_t>(path.size());
-      push_frame(std::move(child_enc), v, depth, child_sleep,
-                 &missing_choices);
-      continue;
-    }
-
     path.pop_back();
   }
 
@@ -386,10 +243,8 @@ ExploreResult explore(const SimWorld& initial, const ExploreOptions& options) {
   // capacity is peak capacity).
   result.peak_bytes =
       table.capacity() * 24 + path_frame.capacity() * sizeof(std::uint32_t) +
-      sleep_span.capacity() * sizeof(sleep_span[0]) +
-      sleep_store.capacity() * 8 + stack.capacity() * sizeof(Frame) +
+      stack.capacity() * sizeof(Frame) +
       choice_arena.capacity() * sizeof(Choice) +
-      foot_arena.capacity() * sizeof(Footprint) +
       path.capacity() * sizeof(Choice);
   return result;
 }
@@ -411,10 +266,7 @@ LongestExecutionResult longest_execution(const SimWorld& initial,
   // terminal.  A back-edge to a state on the current path is a cycle:
   // some execution runs forever and no finite bound exists.  Distances
   // are orbit-invariant (a permutation maps executions to equal-length
-  // executions), so memoizing on canonical fingerprints is sound.  Sleep
-  // sets are NOT applied here: they prune interleavings whose lengths
-  // are equal, but the DP below walks explored edges only, so we keep
-  // the full edge set for simplicity.
+  // executions), so memoizing on canonical fingerprints is sound.
   struct Frame {
     SimWorld world;
     Fingerprint fp;
@@ -513,9 +365,7 @@ ShortestViolationResult find_shortest_violation(const SimWorld& initial,
 
   // Symmetry only: BFS expands real worlds and dedups orbit-mates, so
   // minimality is preserved (a length-L execution exists to a violating
-  // state iff one exists to its representative's orbit).  Sleep sets are
-  // not applied — they would not change the visited-state count and BFS
-  // has no path context to carry them soundly.
+  // state iff one exists to its representative's orbit).
   FlatFpMap visited(table_hint(options));
   std::vector<Node> frontier;
   frontier.reserve(64);

@@ -80,10 +80,6 @@ struct ExploreOptions {
   /// invariant (DESIGN.md §3d), counts become per-orbit counts, and
   /// witnesses stay directly replayable.  No effect on asymmetric worlds.
   bool symmetry_reduction = true;
-  /// Sleep-set partial-order reduction: prune interleavings of
-  /// independent steps (sched/reduce.hpp).  Prunes transitions only —
-  /// visited states, terminal census and verdicts are unchanged.
-  bool sleep_sets = true;
   /// Hint for pre-sizing the fingerprint table and search containers
   /// (0 = derive from max_states, capped).
   std::uint64_t expected_states = 0;

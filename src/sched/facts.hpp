@@ -3,56 +3,22 @@
 //
 // The scheduler cannot depend on the proto IR (the dependency points the
 // other way), so the analyzer distills its results into this small
-// IR-free structure:
+// IR-free structure: the overriding-immunity mask — objects for which
+// every reachable CAS was proved to use a uniform desired value and a ⊥
+// expected value, so the overriding-fault branch can never manifest and
+// SimWorld may soundly skip offering it (DESIGN.md §3h).
 //
-//   * per-op static footprints — the may-touch location interval of every
-//     pause site, so sleep-set POR (sched/reduce.hpp) can use the STATIC
-//     independence relation, with the dynamic pending-op footprint kept
-//     as a debug-build cross-check;
-//   * the overriding-immunity mask — objects for which every reachable
-//     CAS was proved to use a uniform desired value and a ⊥ expected
-//     value, so the overriding-fault branch can never manifest and
-//     SimWorld may soundly skip offering it (DESIGN.md §3h).
-//
-// A null ProgramFacts (the MachineFactory default) simply disables both
-// uses: footprints fall back to the dynamic pending op and no fault
-// branch is pruned.
+// A null ProgramFacts (the MachineFactory default) simply disables the
+// pruning: no fault branch is skipped.
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace ff::sched {
 
-/// "No static site": returned by StepMachine::pending_site() when the
-/// machine cannot map its pending op to a program counter in the facts
-/// table (legacy hand-written machines, halted machines).
-inline constexpr std::uint32_t kNoSite = 0xFFFFFFFFu;
-
-/// Static may-touch footprint of one pause site (program counter).
-struct StaticFootprint {
-  enum class Space : std::uint8_t {
-    kNone,      ///< not a shared CAS/register op (local op, halt, queue)
-    kObject,    ///< CAS object namespace
-    kRegister,  ///< read/write register namespace
-  };
-  Space space = Space::kNone;
-  /// True when the abstract index is a single constant: [lo, lo+1) and
-  /// the static footprint equals the dynamic one at every reachable
-  /// state.  Non-exact entries only bound the dynamic location.
-  bool exact = false;
-  /// False only for register reads; CAS steps always count as writes.
-  bool writes = true;
-  /// May-touch interval [lo, hi) over the space's index namespace.
-  std::uint32_t lo = 0;
-  std::uint32_t hi = 0;
-};
-
-/// Facts for one Program, indexed by program counter.  Immutable and
-/// shared (shared_ptr) by every SimWorld built from the same factory.
+/// Facts for one Program.  Immutable and shared (shared_ptr) by every
+/// SimWorld built from the same factory.
 struct ProgramFacts {
-  /// footprints[pc] for every op of the program (kNone for local ops).
-  std::vector<StaticFootprint> footprints;
   /// Bit o set: object o is proved overriding-immune — no reachable CAS
   /// on it can ever satisfy the overriding manifest condition, so the
   /// fault branch may be skipped without changing the census.  Objects

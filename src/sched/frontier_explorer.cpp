@@ -38,7 +38,6 @@
 #include <mutex>
 #include <optional>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1482,14 +1481,6 @@ FrontierExploreResult frontier_explore(const SimConfig& config,
                                        const MachineFactory& factory,
                                        const std::vector<std::uint64_t>& inputs,
                                        const FrontierExploreOptions& options) {
-  if (options.explore.sleep_sets) {
-    throw std::invalid_argument(
-        "frontier_explore: sleep-set POR is a DFS-path notion and cannot "
-        "apply to a BFS wavefront; set ExploreOptions::sleep_sets = false "
-        "(the visited-state census is identical — sleep sets prune "
-        "transitions, never states)");
-  }
-
   FrontierExploreResult out;
   ExploreResult& result = out.explore;
   const ExploreOptions& opts = options.explore;

@@ -37,15 +37,6 @@
 // sched/reduce.hpp canonical fingerprints.  Differences by design,
 // mirroring parallel_explore:
 //
-//   * Sleep-set POR is REJECTED: ExploreOptions::sleep_sets = true makes
-//     frontier_explore throw std::invalid_argument (it used to be
-//     silently ignored).  Sleep sets are a DFS-path notion (the
-//     not-chosen alternatives of THIS path are put to sleep along the
-//     chosen branch); a BFS wave has no path context to carry them
-//     soundly, and because sleep sets prune transitions but never
-//     states, the visited-state census is identical anyway (see
-//     find_shortest_violation, which makes the same argument).
-//     verify::JobSpec::validate() enforces the same rule up front.
 //   * kNontermination counts process edges inside cyclic SCCs of the
 //     explored graph, not DFS back-edges; compare presence, not counts.
 //     The count and its witness come from the post-join cycle scan
@@ -68,7 +59,7 @@
 namespace ff::sched {
 
 struct FrontierExploreOptions {
-  ExploreOptions explore;  ///< sleep_sets = true throws (see header note)
+  ExploreOptions explore;
   /// Worker threads; 0 = hardware concurrency.
   std::uint32_t num_threads = 0;
   /// Fingerprint-space shards (rounded up to a power of two); 0 picks

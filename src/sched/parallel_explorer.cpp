@@ -5,6 +5,7 @@
 #include <bit>
 #include <cassert>
 #include <deque>
+#include <exception>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -52,21 +53,12 @@ struct alignas(64) Shard {
   std::mutex mu;
   std::unordered_map<Fingerprint, std::uint32_t, FingerprintHash> table;
   std::vector<StateRecord> records;
-  /// Godefroid stored sleep sets (canonical keys, sorted) for states of
-  /// this shard that were inserted with a non-empty arrival sleep;
-  /// absent entry = empty set.  Guarded by `mu`.
-  std::unordered_map<std::uint32_t, std::vector<std::uint64_t>> sleep;
 };
 
 struct WorkItem {
   SimWorld world;
   std::uint32_t id;
   std::uint32_t depth;
-  /// Arrival sleep set (pid-space, valid for `world`).
-  std::vector<Choice> sleep;
-  /// Non-empty ⇒ re-expansion of a revisited state: explore exactly
-  /// these transitions instead of enabled() \ sleep.
-  std::vector<Choice> explicit_trans;
 };
 
 struct alignas(64) WorkerQueue {
@@ -87,11 +79,6 @@ struct WorkerLocal {
   EncodedState parent_enc;
   EncodedState child_enc;
   std::vector<std::uint32_t> parent_slots;
-  std::vector<std::uint32_t> child_order;
-  std::vector<std::uint32_t> child_slots;
-  std::vector<std::uint64_t> child_keys;
-  std::vector<std::uint64_t> missing_keys;
-  std::vector<Footprint> footprints;
 };
 
 struct PendingViolation {
@@ -104,7 +91,6 @@ struct Ctx {
   const ExploreOptions* opts = nullptr;
   const SimWorld* root = nullptr;
   bool sym = false;
-  bool por = false;
   std::uint32_t shard_bits = 0;
   std::uint32_t shard_mask = 0;
   std::uint32_t num_workers = 1;
@@ -123,6 +109,10 @@ struct Ctx {
   std::atomic<bool> abort{false};
   std::mutex violation_mu;
   std::optional<PendingViolation> pending;
+  /// The first exception a worker threw, rethrown by parallel_explore on
+  /// the calling thread after the join.  Guarded by `error_mu`.
+  std::mutex error_mu;
+  std::exception_ptr error;
 
   [[nodiscard]] std::uint32_t shard_of(const Fingerprint& fp) const {
     return static_cast<std::uint32_t>(fp.a) & shard_mask;
@@ -138,17 +128,10 @@ struct InternResult {
 };
 
 /// Inserts (or finds) the state behind `fp`.  Returns the mapped value
-/// (id | terminal flag) and whether this call inserted it.  When POR is
-/// active, `arrival_keys` (sorted canonical sleep keys the state is
-/// reached with) is stored on insert; on a duplicate hit the Godefroid
-/// state-matching update runs: `missing` receives stored \ arrival (the
-/// transitions pruned under an assumption this arrival invalidates) and
-/// the stored set shrinks to the intersection.
+/// (id | terminal flag) and whether this call inserted it.
 InternResult intern(Ctx& ctx, const Fingerprint& fp, bool terminal,
                     std::uint32_t parent, const Choice& choice,
-                    std::uint8_t slot,
-                    const std::vector<std::uint64_t>& arrival_keys,
-                    std::vector<std::uint64_t>* missing) {
+                    std::uint8_t slot) {
   const std::uint32_t shard_idx = ctx.shard_of(fp);
   Shard& shard = ctx.shards[shard_idx];
   std::lock_guard<std::mutex> g(shard.mu);
@@ -163,33 +146,8 @@ InternResult intern(Ctx& ctx, const Fingerprint& fp, bool terminal,
     std::uint32_t stored = (local_idx << ctx.shard_bits) | shard_idx;
     if (terminal) stored |= kTerminalFlag;
     shard.records.push_back(StateRecord{parent, choice, slot});
-    if (ctx.por && !arrival_keys.empty()) {
-      shard.sleep.emplace(local_idx, arrival_keys);
-    }
     it->second = stored;
     return {stored, true};
-  }
-  if (ctx.por && missing != nullptr) {
-    missing->clear();
-    const std::uint32_t local_idx = (it->second & ~kTerminalFlag) >>
-                                    ctx.shard_bits;
-    const auto sit = shard.sleep.find(local_idx);
-    if (sit != shard.sleep.end()) {
-      std::set_difference(sit->second.begin(), sit->second.end(),
-                          arrival_keys.begin(), arrival_keys.end(),
-                          std::back_inserter(*missing));
-      if (!missing->empty()) {
-        std::vector<std::uint64_t> inter;
-        std::set_intersection(sit->second.begin(), sit->second.end(),
-                              arrival_keys.begin(), arrival_keys.end(),
-                              std::back_inserter(inter));
-        if (inter.empty()) {
-          shard.sleep.erase(sit);
-        } else {
-          sit->second = std::move(inter);
-        }
-      }
-    }
   }
   return {it->second, false};
 }
@@ -201,34 +159,8 @@ void enqueue(Ctx& ctx, std::uint32_t wid, WorkItem&& item) {
   self.dq.push_back(std::move(item));
 }
 
-void expand(Ctx& ctx, std::uint32_t wid, WorkItem& item, WorkerLocal& local) {
-  // Transition list: enabled() minus the arrival sleep, or — for a
-  // re-expansion of a revisited state — exactly the stored-minus-arrival
-  // transitions the original visit pruned.
-  std::vector<Choice> trans;
-  if (!item.explicit_trans.empty()) {
-    trans = std::move(item.explicit_trans);
-  } else {
-    for (const Choice& c : item.world.enabled()) {
-      if (ctx.por && std::find(item.sleep.begin(), item.sleep.end(), c) !=
-                         item.sleep.end()) {
-        continue;  // asleep: an equivalent interleaving is explored
-      }
-      trans.push_back(c);
-    }
-  }
-
-  // Footprints (at item.world) of the arrival sleep and the transition
-  // list, for the child-sleep computation.
-  if (ctx.por) {
-    local.footprints.clear();
-    for (const Choice& s : item.sleep) {
-      local.footprints.push_back(footprint_of(item.world, s));
-    }
-    for (const Choice& c : trans) {
-      local.footprints.push_back(footprint_of(item.world, c));
-    }
-  }
+void expand(Ctx& ctx, std::uint32_t wid, const WorkItem& item,
+            WorkerLocal& local) {
   // Canonical slots of the parent representative, for record/edge slots.
   if (ctx.sym) {
     local.encoder.encode(item.world, local.parent_enc);
@@ -239,11 +171,8 @@ void expand(Ctx& ctx, std::uint32_t wid, WorkItem& item, WorkerLocal& local) {
     return static_cast<std::uint8_t>(local.parent_slots[c.pid]);
   };
 
-  std::vector<Choice> child_sleep;
-  const std::vector<std::uint32_t> kIdentity;
-  for (std::size_t ti = 0; ti < trans.size(); ++ti) {
+  for (const Choice& choice : item.world.enabled()) {
     if (ctx.abort.load(std::memory_order_relaxed)) return;
-    const Choice& choice = trans[ti];
     SimWorld child = item.world;
     child.apply(choice);
     local.encoder.encode(child, local.child_enc);
@@ -252,39 +181,8 @@ void expand(Ctx& ctx, std::uint32_t wid, WorkItem& item, WorkerLocal& local) {
     local.max_depth =
         std::max<std::uint64_t>(local.max_depth, item.depth + 1ull);
 
-    // Sleep set the child arrives with (Godefroid): still-independent
-    // members of the arrival sleep plus earlier-explored transitions
-    // independent of the chosen step — with canonical keys so stored
-    // sets compare across orbit representatives.
-    child_sleep.clear();
-    local.child_keys.clear();
-    if (ctx.por) {
-      const Footprint fc = local.footprints[item.sleep.size() + ti];
-      for (std::size_t i = 0; i < item.sleep.size(); ++i) {
-        if (independent(item.sleep[i], local.footprints[i], choice, fc)) {
-          child_sleep.push_back(item.sleep[i]);
-        }
-      }
-      for (std::size_t j = 0; j < ti; ++j) {
-        if (independent(trans[j], local.footprints[item.sleep.size() + j],
-                        choice, fc)) {
-          child_sleep.push_back(trans[j]);
-        }
-      }
-      if (!child_sleep.empty()) {
-        local.child_slots.clear();
-        if (ctx.sym) canonical_slots(local.child_enc, local.child_slots);
-        for (const Choice& s : child_sleep) {
-          local.child_keys.push_back(
-              sleep_key(s, ctx.sym ? local.child_slots : kIdentity));
-        }
-        std::sort(local.child_keys.begin(), local.child_keys.end());
-      }
-    }
-
-    const InternResult in =
-        intern(ctx, fp, child_terminal, item.id, choice, slot_of(choice),
-               local.child_keys, ctx.por ? &local.missing_keys : nullptr);
+    const InternResult in = intern(ctx, fp, child_terminal, item.id, choice,
+                                   slot_of(choice));
     const bool target_terminal = (in.stored & kTerminalFlag) != 0;
     const std::uint32_t child_id = in.stored & ~kTerminalFlag;
 
@@ -292,27 +190,7 @@ void expand(Ctx& ctx, std::uint32_t wid, WorkItem& item, WorkerLocal& local) {
       local.edges.push_back(
           CycleEdge::of(item.id, child_id, choice, slot_of(choice)));
     }
-    if (!in.inserted) {
-      if (ctx.por && !local.missing_keys.empty() && !target_terminal) {
-        // Re-expand the revisited state along exactly the transitions its
-        // first visit pruned under a sleep assumption this arrival
-        // invalidates.  `child` IS a representative of that state (under
-        // symmetry possibly a different one than the discoverer held —
-        // canonical keys make the sets comparable, and resolving against
-        // this representative's own order yields equivalent transitions).
-        local.child_order.clear();
-        if (ctx.sym) canonical_order(local.child_enc, local.child_order);
-        std::vector<Choice> missing;
-        missing.reserve(local.missing_keys.size());
-        for (const std::uint64_t key : local.missing_keys) {
-          missing.push_back(resolve_sleep_key(key, local.child_order));
-        }
-        enqueue(ctx, wid,
-                WorkItem{std::move(child), child_id, item.depth + 1,
-                         child_sleep, std::move(missing)});
-      }
-      continue;
-    }
+    if (!in.inserted) continue;
 
     const std::uint64_t n =
         ctx.states.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -342,13 +220,12 @@ void expand(Ctx& ctx, std::uint32_t wid, WorkItem& item, WorkerLocal& local) {
         local.agreed_values.insert(*agreed);
       }
     } else {
-      enqueue(ctx, wid, WorkItem{std::move(child), child_id, item.depth + 1,
-                                 child_sleep, {}});
+      enqueue(ctx, wid, WorkItem{std::move(child), child_id, item.depth + 1});
     }
   }
 }
 
-void worker_loop(Ctx& ctx, std::uint32_t wid, WorkerLocal& local) {
+void steal_and_expand(Ctx& ctx, std::uint32_t wid, WorkerLocal& local) {
   WorkerQueue& self = ctx.queues[wid];
   // Terminates by quiescence: every enqueue increments `outstanding` and
   // every completed expansion decrements it, so outstanding == 0 with an
@@ -405,6 +282,22 @@ void worker_loop(Ctx& ctx, std::uint32_t wid, WorkerLocal& local) {
     }
     expand(ctx, wid, *item, local);
     ctx.outstanding.fetch_sub(1, std::memory_order_acq_rel);
+  }
+}
+
+void worker_loop(Ctx& ctx, std::uint32_t wid, WorkerLocal& local) {
+  // An exception escaping a std::thread would std::terminate the whole
+  // process.  Keep the first one, stop every worker, and let
+  // parallel_explore rethrow it on the calling thread after the join —
+  // the same exception explore() lets through to its caller.
+  try {
+    steal_and_expand(ctx, wid, local);
+  } catch (...) {
+    {
+      std::lock_guard<std::mutex> g(ctx.error_mu);
+      if (!ctx.error) ctx.error = std::current_exception();
+    }
+    ctx.abort.store(true, std::memory_order_relaxed);
   }
 }
 
@@ -491,7 +384,6 @@ ExploreResult parallel_explore(const SimWorld& initial,
   ctx.opts = &opts;
   ctx.root = &initial;
   ctx.sym = opts.symmetry_reduction && initial.processes_symmetric();
-  ctx.por = opts.sleep_sets;
   const std::uint32_t shards =
       std::bit_ceil(std::max<std::uint32_t>(1, options.shard_count));
   ctx.shard_bits = static_cast<std::uint32_t>(std::countr_zero(shards));
@@ -512,11 +404,11 @@ ExploreResult parallel_explore(const SimWorld& initial,
     root_fp = fingerprint_state(enc, ctx.sym);
   }
   const InternResult root_in =
-      intern(ctx, root_fp, false, kNoParent, Choice{}, kNoSlot, {}, nullptr);
+      intern(ctx, root_fp, false, kNoParent, Choice{}, kNoSlot);
   assert(root_in.inserted);
   ctx.states.store(1, std::memory_order_relaxed);
   ctx.outstanding.store(1, std::memory_order_relaxed);
-  ctx.queues[0].dq.push_back(WorkItem{initial, root_in.stored, 0, {}, {}});
+  ctx.queues[0].dq.push_back(WorkItem{initial, root_in.stored, 0});
 
   std::vector<WorkerLocal> locals(ctx.num_workers);
   {
@@ -528,6 +420,7 @@ ExploreResult parallel_explore(const SimWorld& initial,
     }
     for (auto& t : threads) t.join();
   }
+  if (ctx.error) std::rethrow_exception(ctx.error);
 
   const bool aborted = ctx.abort.load(std::memory_order_relaxed);
   result.states_visited = ctx.states.load(std::memory_order_relaxed);
@@ -579,10 +472,6 @@ ExploreResult parallel_explore(const SimWorld& initial,
     result.peak_bytes += shard.table.size() * 32 +
                          shard.table.bucket_count() * sizeof(void*) +
                          shard.records.capacity() * sizeof(StateRecord);
-    for (const auto& [id, keys] : shard.sleep) {
-      result.peak_bytes += 48 + keys.capacity() * 8;
-      (void)id;
-    }
   }
   for (const WorkerLocal& l : locals) {
     result.peak_bytes += l.edges.capacity() * sizeof(CycleEdge);

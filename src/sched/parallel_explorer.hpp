@@ -49,6 +49,8 @@ struct ParallelExploreOptions {
   std::uint32_t chunk_size = 16;
 };
 
+/// An exception a worker throws (from a machine step, say) stops every
+/// worker and is rethrown here, on the calling thread, after the join.
 [[nodiscard]] ExploreResult parallel_explore(
     const SimWorld& initial, const ParallelExploreOptions& options = {});
 

@@ -47,13 +47,6 @@ class StepMachine {
   /// label means the simulator never offers them a crash branch.
   [[nodiscard]] virtual bool can_crash() const { return false; }
   virtual void crash() {}
-
-  /// Program counter of the pending shared op, for indexing the factory's
-  /// static-analysis facts (ProgramFacts::footprints).  kNoSite when the
-  /// machine cannot name one (halted, or a machine with no IR pedigree —
-  /// the legacy hand-written machines keep this default), in which case
-  /// the scheduler falls back to the dynamic pending-op footprint.
-  [[nodiscard]] virtual std::uint32_t pending_site() const { return kNoSite; }
 };
 
 /// Factory producing the machine for process `pid` with input `input`.

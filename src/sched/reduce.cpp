@@ -238,99 +238,4 @@ std::optional<std::vector<Choice>> close_symmetric_cycle(
   return std::nullopt;
 }
 
-Footprint footprint_of(const SimWorld& world, const Choice& c) {
-  if (c.pid == kAdversaryPid) {
-    return Footprint{Footprint::Space::kGlobal, 0, true};
-  }
-  // Crash choices inherit the pending op's footprint: crash-after may
-  // write that location, crash-before touches only per-process state
-  // (always dependent with same-pid choices anyway) — conservative but
-  // sound for the sleep-set commutation argument.
-  const PendingOp op = world.pending(c.pid);
-  Footprint dyn{Footprint::Space::kNone, 0, true};
-  switch (op.type) {
-    case OpType::kCas:
-      dyn = Footprint{Footprint::Space::kObject, op.object, true};
-      break;
-    case OpType::kRegRead:
-      dyn = Footprint{Footprint::Space::kRegister, op.object, false};
-      break;
-    case OpType::kRegWrite:
-      dyn = Footprint{Footprint::Space::kRegister, op.object, true};
-      break;
-    case OpType::kNone:
-      break;
-  }
-  // Static independence relation (ffcheck A1): when the machine names its
-  // pending pc and the analyzer proved that site's index is a single
-  // constant, the static footprint IS the dynamic one at every reachable
-  // state — use it, and let debug builds cross-check the claim.  A
-  // non-exact entry only bounds the dynamic location, so it is kept as a
-  // containment assert and the dynamic footprint stays authoritative.
-  if (const ProgramFacts* facts = world.facts();
-      facts != nullptr && dyn.space != Footprint::Space::kNone) {
-    const std::uint32_t site = world.machine(c.pid).pending_site();
-    if (site < facts->footprints.size()) {
-      const StaticFootprint& sf = facts->footprints[site];
-      assert((sf.space == StaticFootprint::Space::kObject) ==
-             (dyn.space == Footprint::Space::kObject));
-      assert((sf.space == StaticFootprint::Space::kRegister) ==
-             (dyn.space == Footprint::Space::kRegister));
-      if (sf.exact) {
-        assert(sf.lo == dyn.id && sf.writes == dyn.writes);
-        return Footprint{dyn.space, sf.lo, sf.writes};
-      }
-      assert(sf.lo <= dyn.id && dyn.id < sf.hi);
-    }
-  }
-  return dyn;
-}
-
-bool independent(const Choice& ca, const Footprint& fa, const Choice& cb,
-                 const Footprint& fb) {
-  if (ca.pid == cb.pid) return false;  // same process: program order
-  if (fa.space == Footprint::Space::kGlobal ||
-      fb.space == Footprint::Space::kGlobal) {
-    return false;  // adversary steps are dependent with everything
-  }
-  if (fa.space == Footprint::Space::kNone ||
-      fb.space == Footprint::Space::kNone) {
-    return false;  // not schedulable — be conservative
-  }
-  if (fa.space != fb.space) return true;  // disjoint namespaces
-  if (fa.id != fb.id) return true;        // disjoint locations
-  return !fa.writes && !fb.writes;        // read/read commutes
-}
-
-std::vector<Choice> normalize_trace(const SimWorld& initial,
-                                    std::vector<Choice> schedule) {
-  const auto key = [](const Choice& c) {
-    return (static_cast<std::uint64_t>(c.pid) << 34) |
-           (static_cast<std::uint64_t>(c.crash ? 1 : 0) << 33) |
-           (static_cast<std::uint64_t>(c.fault ? 1 : 0) << 32) |
-           c.fault_variant;
-  };
-  // Bubble passes: each pass replays the prefix worlds so footprints are
-  // taken at the state where the adjacent pair actually executes.  A pass
-  // with no swap terminates the loop; n passes always suffice.
-  const std::size_t len = schedule.size();
-  for (std::size_t pass = 0; pass < len; ++pass) {
-    bool swapped = false;
-    SimWorld world = initial;
-    for (std::size_t i = 0; i + 1 < len; ++i) {
-      Choice& a = schedule[i];
-      Choice& b = schedule[i + 1];
-      const Footprint faa = footprint_of(world, a);
-      const Footprint fbb = footprint_of(world, b);
-      if (independent(a, faa, b, fbb) && key(b) < key(a)) {
-        std::swap(a, b);
-        swapped = true;
-      }
-      world.apply(schedule[i]);
-    }
-    if (!swapped) break;
-  }
-  return schedule;
-}
-
 }  // namespace ff::sched

@@ -1,34 +1,20 @@
-// State-space reduction engine: process-symmetry canonicalization and a
-// sleep-set partial-order independence relation, shared by the sequential
-// explorer, the parallel explorer, the BFS witness minimizer and the
-// fuzzer's novelty signal.  DESIGN.md §3d carries the soundness argument;
-// the short version:
+// State-space reduction: process-symmetry canonicalization, shared by the
+// sequential explorer, the parallel and frontier explorers, the BFS
+// witness minimizer and the fuzzer's novelty signal.  DESIGN.md §3d
+// carries the soundness argument; the short version:
 //
-//   * Symmetry.  When every machine is pid-oblivious
-//     (MachineFactory::pid_oblivious) and no fault rule names a process
-//     (SimWorld::processes_symmetric), any permutation π of process ids
-//     maps executions to executions: shared objects, registers and fault
-//     budgets are process-anonymous, and a machine's behaviour is a
-//     function of its encoded block alone.  All checked properties
-//     (agreement, validity, stall, nontermination) are invariant under π,
-//     so it suffices to visit one representative per orbit.  We keep REAL
-//     worlds on the search structures and only canonicalize the
-//     memoization key: the canonical fingerprint hashes the shared prefix
-//     followed by the per-process blocks in sorted order.  Witnesses
-//     therefore remain directly replayable schedules.
-//
-//   * Sleep sets.  Two choices are independent when they are steps of
-//     different processes touching disjoint shared locations (CAS object
-//     vs. register namespaces; a fault branch footprints the object of
-//     the faulted operation, so budget accounting stays per-location).
-//     Adversary corruption steps are dependent with everything — their
-//     enabledness reads every object's value and budget.  Executing
-//     independent steps in either order reaches the same state and
-//     preserves enabledness, so a DFS may put the not-chosen independent
-//     alternatives "to sleep" along the chosen branch (Godefroid's sleep
-//     sets, with the state-matching refinement for revisits).  Sleep sets
-//     prune transitions, never states: the census of visited states and
-//     terminal violations is bit-identical to the unreduced search.
+//   When every machine is pid-oblivious (MachineFactory::pid_oblivious)
+//   and no fault rule names a process (SimWorld::processes_symmetric),
+//   any permutation π of process ids maps executions to executions:
+//   shared objects, registers and fault budgets are process-anonymous,
+//   and a machine's behaviour is a function of its encoded block alone.
+//   All checked properties (agreement, validity, stall, nontermination)
+//   are invariant under π, so it suffices to visit one representative
+//   per orbit.  We keep REAL worlds on the search structures and only
+//   canonicalize the memoization key: the canonical fingerprint hashes
+//   the shared prefix followed by an order-insensitive combine of the
+//   per-process blocks.  Witnesses therefore remain directly replayable
+//   schedules.
 #pragma once
 
 #include <cstdint>
@@ -134,65 +120,5 @@ void canonical_slots(const EncodedState& e, std::vector<std::uint32_t>& slot_of)
 [[nodiscard]] std::optional<std::vector<Choice>> close_symmetric_cycle(
     const SimWorld& ancestor, const std::vector<Choice>& segment,
     std::uint32_t max_laps = 5040);
-
-// ---------------------------------------------------------------------------
-// Independence relation for sleep-set POR.
-// ---------------------------------------------------------------------------
-
-/// The shared location a choice touches at a given state.
-struct Footprint {
-  enum class Space : std::uint8_t {
-    kNone,      ///< no pending operation (not a schedulable choice)
-    kObject,    ///< a CAS object (clean or faulted — budget is per-object)
-    kRegister,  ///< a read/write register (disjoint namespace)
-    kGlobal,    ///< adversary corruption: dependent with everything
-  };
-  Space space = Space::kNone;
-  objects::ObjectId id = 0;
-  /// False only for register reads; CAS steps always count as writes.
-  bool writes = true;
-};
-
-[[nodiscard]] Footprint footprint_of(const SimWorld& world, const Choice& c);
-
-/// Two choices commute at the state the footprints were taken in: steps
-/// of different processes whose locations are disjoint (or both reads of
-/// the same register), neither being an adversary step.
-[[nodiscard]] bool independent(const Choice& ca, const Footprint& fa,
-                               const Choice& cb, const Footprint& fb);
-
-/// Canonical sleep-set key of a choice: the pid is replaced by its
-/// canonical slot when `slot_of` is non-empty (symmetry active), making
-/// stored sleep sets comparable across orbit representatives.  Adversary
-/// choices never enter sleep sets (they are dependent with everything).
-[[nodiscard]] inline std::uint64_t sleep_key(
-    const Choice& c, const std::vector<std::uint32_t>& slot_of) {
-  const std::uint64_t slot =
-      (c.pid == kAdversaryPid || slot_of.empty()) ? c.pid : slot_of[c.pid];
-  return (slot << 34) | (static_cast<std::uint64_t>(c.crash ? 1 : 0) << 33) |
-         (static_cast<std::uint64_t>(c.fault ? 1 : 0) << 32) | c.fault_variant;
-}
-
-/// Inverse of sleep_key: resolves a canonical key against a concrete
-/// representative's canonical order (`order` empty = identity).  Among
-/// processes with equal blocks any resolution is interchangeable; the
-/// deterministic order makes it reproducible.
-[[nodiscard]] inline Choice resolve_sleep_key(
-    std::uint64_t key, const std::vector<std::uint32_t>& order) {
-  const auto slot = static_cast<std::uint32_t>(key >> 34);
-  Choice c;
-  c.pid = order.empty() ? slot : order.at(slot);
-  c.crash = ((key >> 33) & 1) != 0;
-  c.fault = ((key >> 32) & 1) != 0;
-  c.fault_variant = static_cast<std::uint32_t>(key & 0xFFFFFFFFULL);
-  return c;
-}
-
-/// Normal form of a schedule under the independence relation: adjacent
-/// independent choices are bubbled into ascending (pid, fault, variant)
-/// order.  Trace-equivalent schedules (equal up to swapping independent
-/// neighbours) normalize to the same sequence and reach the same state.
-[[nodiscard]] std::vector<Choice> normalize_trace(const SimWorld& initial,
-                                                  std::vector<Choice> schedule);
 
 }  // namespace ff::sched

@@ -37,9 +37,10 @@ namespace ff::verify {
 
 class Cache {
  public:
-  /// Bumped whenever the entry schema changes; mismatched entries are
-  /// misses and gc() fodder, never parse attempts.
-  static constexpr std::uint64_t kFormatVersion = 1;
+  /// Bumped whenever the entry schema changes, or an engine change moves
+  /// the Report a job produces; mismatched entries are misses and gc()
+  /// fodder, never parse attempts.
+  static constexpr std::uint64_t kFormatVersion = 2;
 
   /// Opens (creating if needed) the store at `dir`.  Throws
   /// std::runtime_error when the directory cannot be created.

@@ -44,7 +44,6 @@ void write_job_object(util::JsonWriter& w, const JobSpec& spec) {
   w.kv("engine", to_string(spec.engine));
   w.kv("interpreted", spec.interpreted);
   w.kv("symmetry_reduction", spec.symmetry_reduction);
-  w.kv("sleep_sets", spec.sleep_sets);
   w.kv("immunity_pruning", spec.immunity_pruning);
   w.kv("killed_is_violation", spec.killed_is_violation);
   w.kv("stop_at_first_violation", spec.stop_at_first_violation);
@@ -95,16 +94,22 @@ model::FaultKind fault_kind_from_string(std::string_view name) {
 }
 
 void JobSpec::validate() const {
-  resolve_info(*this);
+  const proto::ProtocolInfo& info = resolve_info(*this);
   if (processes == 0) {
     throw std::invalid_argument("verify::JobSpec: processes must be >= 1");
   }
-  if (engine == Engine::kFrontier && sleep_sets) {
-    throw std::invalid_argument(
-        "verify::JobSpec: the frontier engine rejects sleep-set POR — "
-        "sleep sets are a DFS-path notion a BFS wavefront cannot carry "
-        "soundly; set sleep_sets = false (the visited-state census is "
-        "identical either way)");
+  // A protocol sized by `n` (announce-cas, tas) lays out one register per
+  // process; a further process would index past that layout.
+  for (const auto& param : info.params) {
+    if (param.name != "n") continue;
+    const auto it = params.find(param.name);
+    const std::uint64_t n = it == params.end() ? param.fallback : it->second;
+    if (processes > n) {
+      throw std::invalid_argument(
+          "verify::JobSpec: protocol \"" + info.name + "\" is sized for n = " +
+          std::to_string(n) + " processes, but processes = " +
+          std::to_string(processes));
+    }
   }
   if (engine == Engine::kStress) {
     // Real threads execute faults probabilistically via policy objects,
@@ -135,6 +140,7 @@ JobSpec JobSpec::canonicalized() const {
   const proto::ProtocolInfo& info = resolve_info(*this);
   JobSpec out = *this;
   out.protocol = info.name;
+  out.sleep_sets = false;
   out.params.clear();
   for (const auto& param : info.params) {
     const auto it = params.find(param.name);
@@ -178,7 +184,6 @@ JobSpec JobSpec::from_json(const util::JsonValue& doc) {
   spec.engine = engine_from_string(job.at("engine").as_string());
   spec.interpreted = job.at("interpreted").as_bool();
   spec.symmetry_reduction = job.at("symmetry_reduction").as_bool();
-  spec.sleep_sets = job.at("sleep_sets").as_bool();
   spec.immunity_pruning = job.at("immunity_pruning").as_bool();
   spec.killed_is_violation = job.at("killed_is_violation").as_bool();
   spec.stop_at_first_violation = job.at("stop_at_first_violation").as_bool();

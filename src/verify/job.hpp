@@ -10,10 +10,9 @@
 //
 //   * STRICT VALIDATION.  Illegal combinations are rejected with a
 //     thrown std::invalid_argument, never silently ignored — e.g. the
-//     frontier engine refuses sleep-set POR (a DFS-path notion a BFS
-//     wavefront cannot carry soundly), the stress engine refuses
-//     simulator-only fault branching, and unknown protocols/engines name
-//     themselves in the error.
+//     stress engine refuses simulator-only fault branching, a protocol
+//     sized for n processes refuses more, and unknown protocols/engines
+//     name themselves in the error.
 //   * CANONICAL JSON.  canonical_json() emits every semantic field in a
 //     fixed order with aliases resolved to canonical registry names and
 //     params normalized against the protocol's schema (defaults filled,
@@ -80,8 +79,6 @@ struct JobSpec {
   /// the differential-oracle side of codegen comparisons.
   bool interpreted = false;
   bool symmetry_reduction = true;
-  /// Sleep-set POR (DFS engines only; rejected for frontier).
-  bool sleep_sets = true;
   bool immunity_pruning = true;
   bool killed_is_violation = false;
   bool stop_at_first_violation = true;
@@ -109,12 +106,19 @@ struct JobSpec {
   /// Fingerprint-table pre-size hint (0 = derive from max_states).
   std::uint64_t expected_states = 0;
 
+  /// Ignored, and neither serialized nor fingerprinted: sleep-set
+  /// partial-order reduction is gone from every engine.  Kept only while
+  /// perfbench still assigns it (ROADMAP item 3 deletes both);
+  /// canonicalized() clears it.
+  bool sleep_sets = false;
+
   /// Throws std::invalid_argument naming the first violated rule.
   void validate() const;
 
   /// Returns a copy with the protocol alias resolved to its canonical
-  /// registry name and params normalized against the schema (defaults
-  /// filled in, keys outside the schema dropped).  Validates first.
+  /// registry name, params normalized against the schema (defaults
+  /// filled in, keys outside the schema dropped) and the ignored
+  /// sleep_sets cleared.  Validates first.
   [[nodiscard]] JobSpec canonicalized() const;
 
   /// Full canonical document: {"job": {...semantic...}, "exec": {...}}.

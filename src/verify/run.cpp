@@ -24,7 +24,6 @@ sched::ExploreOptions explore_options(const JobSpec& spec) {
   options.stop_at_first_violation = spec.stop_at_first_violation;
   options.killed_is_violation = spec.killed_is_violation;
   options.symmetry_reduction = spec.symmetry_reduction;
-  options.sleep_sets = spec.sleep_sets;
   options.expected_states = spec.expected_states;
   return options;
 }

@@ -210,7 +210,6 @@ TEST(Codegen, FullCensusMatchesOracleSequential) {
       sched::ExploreOptions options;
       options.stop_at_first_violation = false;
       options.symmetry_reduction = reduce;
-      options.sleep_sets = reduce;
       const auto oracle_result = sched::explore(oracle_world, options);
       const auto gen_result = sched::explore(gen_world, options);
       expect_census_equal(oracle_result, gen_result,
@@ -236,7 +235,6 @@ TEST(Codegen, FullCensusMatchesOracleParallel) {
       sched::ParallelExploreOptions options;
       options.explore.stop_at_first_violation = false;
       options.explore.symmetry_reduction = reduce;
-      options.explore.sleep_sets = reduce;
       options.num_threads = 4;
       const auto oracle_result = sched::parallel_explore(oracle_world, options);
       const auto gen_result = sched::parallel_explore(gen_world, options);
@@ -258,8 +256,7 @@ TEST(Codegen, FullCensusMatchesOracleParallel) {
 // ---------------------------------------------------------------------------
 // 3. Full-census equality under the frontier explorer.  Its lane arena
 //    steps whatever machines the factory makes, so the oracle side runs
-//    IrMachines end to end.  Sleep sets stay off: the frontier rejects
-//    them.
+//    IrMachines end to end.
 // ---------------------------------------------------------------------------
 
 TEST(Codegen, FullCensusMatchesOracleFrontier) {
@@ -272,7 +269,6 @@ TEST(Codegen, FullCensusMatchesOracleFrontier) {
       sched::FrontierExploreOptions options;
       options.explore.stop_at_first_violation = false;
       options.explore.symmetry_reduction = reduce;
-      options.explore.sleep_sets = false;
       options.num_threads = 2;
       const auto run = [&](const sched::MachineFactory& factory) {
         return sched::frontier_explore(make_config(factory, cc), factory,
@@ -530,7 +526,6 @@ TEST(Codegen, StalePreSizeRehashesExactlyAsPredictedAndExactHintDoesNot) {
   sched::ExploreOptions options;
   options.stop_at_first_violation = false;
   options.symmetry_reduction = false;
-  options.sleep_sets = false;
 
   // Stale hint: a prior (smaller) run's census size.
   options.expected_states = 1024;

@@ -7,8 +7,8 @@
 //      non-recoverable original program for the recoverable variants
 //      (identical semantics when crashes cannot happen).
 //   2. The crash-branch census is identical across the sequential,
-//      parallel and reduced explorers (sleep sets preserve every count;
-//      symmetry preserves every orbit-invariant property).
+//      parallel and symmetry-reduced explorers (symmetry preserves every
+//      orbit-invariant property).
 //   3. Crash witnesses strictly replay and shrink to 1-minimal
 //      schedules via shrink_witness — and the minimal recoverable-cas
 //      disagreement witness necessarily contains a crash.
@@ -157,21 +157,13 @@ TEST(CrashCensus, IdenticalAcrossSequentialParallelAndReducedExplorers) {
       ExploreOptions unreduced;
       unreduced.stop_at_first_violation = false;
       unreduced.symmetry_reduction = false;
-      unreduced.sleep_sets = false;
       const auto base = sched::explore(world, unreduced);
       EXPECT_TRUE(base.complete) << label;
-
-      // Sleep sets prune transitions only: every count is preserved.
-      ExploreOptions sleep_only = unreduced;
-      sleep_only.sleep_sets = true;
-      expect_same_census(base, sched::explore(world, sleep_only),
-                         label + " [sleep-sets]");
 
       // Symmetry folds states into orbits: counts become per-orbit, but
       // every checked property is orbit-invariant.
       ExploreOptions reduced = unreduced;
       reduced.symmetry_reduction = true;
-      reduced.sleep_sets = true;
       const auto sym = sched::explore(world, reduced);
       EXPECT_EQ(base.complete, sym.complete) << label;
       EXPECT_EQ(base.agreed_values, sym.agreed_values) << label;

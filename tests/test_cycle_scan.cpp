@@ -315,7 +315,6 @@ std::vector<PinnedJob> pinned_jobs() {
     spec.t = model::kUnbounded;
     spec.processes = n;
     spec.stop_at_first_violation = false;
-    spec.sleep_sets = false;
     spec.threads = 1;
     return spec;
   };

@@ -42,6 +42,7 @@ using proto::ProgramBuilder;
 using proto::Validate;
 using proto::analysis::AnalysisReport;
 using proto::analysis::LoopCertificate;
+using proto::analysis::StaticFootprint;
 using proto::analysis::Verdict;
 using proto::analysis::analyze;
 using sched::SimConfig;
@@ -88,7 +89,6 @@ TEST(FfcheckRegistry, TasImmunityCertificate) {
   ASSERT_NE(facts, nullptr);
   EXPECT_TRUE(facts->object_immune(0));
   EXPECT_FALSE(facts->object_immune(1));
-  EXPECT_EQ(facts->footprints.size(), program->ops().size());
 }
 
 TEST(FfcheckRegistry, FPlusOneCountedLoop) {
@@ -108,8 +108,7 @@ TEST(FfcheckRegistry, FPlusOneCountedLoop) {
 
 TEST(FfcheckRegistry, FactoriesExposeFacts) {
   // Both machine paths (interpreter and ffgen-generated) must hand the
-  // SAME analysis facts to the scheduler; generated machines also report
-  // their pending IR site so the static footprints line up.
+  // SAME analysis facts to the scheduler.
   const auto generated = proto::machine_factory("tas");
   const auto interpreted = proto::machine_factory_interpreted("tas");
   const auto gf = generated->facts();
@@ -117,10 +116,6 @@ TEST(FfcheckRegistry, FactoriesExposeFacts) {
   ASSERT_NE(gf, nullptr);
   ASSERT_NE(pf, nullptr);
   EXPECT_EQ(gf->immune_objects, pf->immune_objects);
-  ASSERT_EQ(gf->footprints.size(), pf->footprints.size());
-  const auto machine = generated->make(0, 7);
-  EXPECT_NE(machine->pending_site(), sched::kNoSite);
-  EXPECT_LT(machine->pending_site(), gf->footprints.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -139,7 +134,7 @@ TEST(FfcheckA1, SingletonIndexIsExact) {
   EXPECT_EQ(report.shared_sites, 1u);
   EXPECT_EQ(report.exact_sites, 1u);
   const auto& fp = report.footprints[0];
-  EXPECT_EQ(fp.space, sched::StaticFootprint::Space::kObject);
+  EXPECT_EQ(fp.space, StaticFootprint::Space::kObject);
   EXPECT_TRUE(fp.exact);
   EXPECT_TRUE(fp.writes);
   EXPECT_EQ(fp.lo, 0u);
@@ -158,7 +153,7 @@ TEST(FfcheckA1, UnknownIndexWidensToBound) {
   ASSERT_TRUE(report.ok());
   EXPECT_EQ(report.exact_sites, 0u);
   const auto& fp = report.footprints[0];
-  EXPECT_EQ(fp.space, sched::StaticFootprint::Space::kRegister);
+  EXPECT_EQ(fp.space, StaticFootprint::Space::kRegister);
   EXPECT_FALSE(fp.exact);
   EXPECT_FALSE(fp.writes);
   EXPECT_EQ(fp.lo, 0u);

@@ -10,7 +10,6 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <stdexcept>
 #include <string>
 
 #include "explore_diff.hpp"
@@ -64,7 +63,6 @@ std::vector<RegistryCase> registry_grid() {
         rc.spec.crash_budget = crash_budget;
         rc.spec.processes = 2;
         rc.spec.engine = verify::Engine::kFrontier;
-        rc.spec.sleep_sets = false;  // the frontier engine rejects POR
         rc.spec.killed_is_violation = kind == FaultKind::kNonresponsive;
         rc.spec.stop_at_first_violation = false;
         grid.push_back(std::move(rc));
@@ -78,10 +76,6 @@ FrontierExploreOptions fopts(const ExploreOptions& explore,
                              std::uint32_t threads, std::uint32_t shards = 0) {
   FrontierExploreOptions options;
   options.explore = explore;
-  // Sleep sets are a DFS-path notion; frontier_explore throws on true.
-  // The sequential oracle keeps whatever the caller chose — the census
-  // is unchanged either way (sleep sets prune transitions, not states).
-  options.explore.sleep_sets = false;
   options.num_threads = threads;
   options.shard_count = shards;
   return options;
@@ -355,23 +349,6 @@ TEST(FrontierExplorer, TerminalInitialState) {
   EXPECT_EQ(seq.terminal_states, fr.explore.terminal_states);
   EXPECT_EQ(seq.complete, fr.explore.complete);
   EXPECT_EQ(fr.stats.waves, 0u);
-}
-
-TEST(FrontierExplorer, SleepSetsRejected) {
-  // Sleep-set POR is a DFS-path notion a BFS wavefront cannot carry
-  // soundly; the engine rejects the flag loudly instead of silently
-  // ignoring it (the silent-ignore era made cache keys ambiguous).
-  const auto factory = proto::machine_factory("single-cas");
-  sched::SimConfig config;
-  config.num_objects = factory->objects_used();
-  FrontierExploreOptions options;  // explore.sleep_sets defaults to true
-  EXPECT_THROW(frontier_explore(config, *factory, iota_inputs(2), options),
-               std::invalid_argument);
-  // The same rule holds one layer up, at job validation time.
-  verify::JobSpec spec;
-  spec.protocol = "single-cas";
-  spec.engine = verify::Engine::kFrontier;  // sleep_sets defaults to true
-  EXPECT_THROW(spec.validate(), std::invalid_argument);
 }
 
 }  // namespace

@@ -4,13 +4,19 @@
 // the sequential oracle, and every parallel witness must replay to a real
 // violation.  Also covers ExploreOptions::max_states truncation for both
 // explorers (a capped run must be incomplete and must not fabricate a
-// violation on a correct configuration).
+// violation on a correct configuration), and a worker's exception, which
+// must reach the caller instead of terminating the process.
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "legacy/machines.hpp"
 #include "explore_diff.hpp"
 #include "sched/explorer.hpp"
 #include "sched/parallel_explorer.hpp"
+#include "sched/program.hpp"
 
 namespace ff {
 namespace {
@@ -184,6 +190,76 @@ TEST(MaxStatesTruncation, UncappedMediumWorldIsCompleteAndAgrees) {
   EXPECT_EQ(seq.violations_found, 0u);
   EXPECT_EQ(par.violations_found, 0u);
   EXPECT_EQ(seq.agreed_values, par.agreed_values);
+}
+
+// --- A step that throws inside a worker --------------------------------------
+
+/// Retries one CAS and throws on its kThrowAt-th delivery — a stand-in
+/// for any step that fails while a worker expands it (an out-of-range
+/// register read, say).  Built from the public StepMachine API alone,
+/// like test_mutation's mutants.
+class ThrowingMachine final : public sched::StepMachine {
+ public:
+  static constexpr std::uint32_t kThrowAt = 3;
+
+  explicit ThrowingMachine(std::uint64_t input) : input_(input) {}
+
+  [[nodiscard]] sched::PendingOp next_op() const override {
+    return sched::PendingOp::cas(0, model::Value::bottom(),
+                                 model::Value::of(input_));
+  }
+  void deliver(model::Value) override {
+    if (++deliveries_ == kThrowAt) {
+      throw std::runtime_error("ThrowingMachine: delivery " +
+                               std::to_string(kThrowAt));
+    }
+  }
+  [[nodiscard]] bool done() const override { return false; }
+  [[nodiscard]] std::uint64_t decision() const override { return input_; }
+  void encode(std::vector<std::uint64_t>& out) const override {
+    out.push_back(deliveries_);
+    out.push_back(input_);
+  }
+  [[nodiscard]] std::unique_ptr<sched::StepMachine> clone() const override {
+    return std::make_unique<ThrowingMachine>(*this);
+  }
+
+ private:
+  std::uint64_t input_;
+  std::uint32_t deliveries_ = 0;
+};
+
+class ThrowingFactory final : public sched::MachineFactory {
+ public:
+  [[nodiscard]] std::unique_ptr<sched::StepMachine> make(
+      objects::ProcessId, std::uint64_t input) const override {
+    return std::make_unique<ThrowingMachine>(input);
+  }
+  [[nodiscard]] std::uint32_t objects_used() const override { return 1; }
+  [[nodiscard]] std::string name() const override { return "throwing"; }
+};
+
+TEST(ParallelExplorer, WorkerExceptionIsRethrownToTheCaller) {
+  const ThrowingFactory factory;
+  sched::SimConfig config;
+  config.num_objects = 1;
+  config.kind = FaultKind::kNone;
+  const sched::SimWorld world(config, factory, testutil::iota_inputs(2));
+  sched::ExploreOptions options;
+  options.stop_at_first_violation = false;
+  // The sequential explorer lets the step's exception through; the
+  // parallel one must do the same from any worker, not std::terminate.
+  EXPECT_THROW(static_cast<void>(sched::explore(world, options)),
+               std::runtime_error);
+  for (const std::uint32_t threads : {1u, 4u}) {
+    ParallelExploreOptions par_options;
+    par_options.explore = options;
+    par_options.num_threads = threads;
+    EXPECT_THROW(
+        static_cast<void>(sched::parallel_explore(world, par_options)),
+        std::runtime_error)
+        << threads;
+  }
 }
 
 }  // namespace

@@ -214,7 +214,6 @@ TEST(ProtoIrDifferential, FullCensusMatchesWithAndWithoutReductions) {
       options.stop_at_first_violation = false;
       options.killed_is_violation = dc.kind == FaultKind::kNonresponsive;
       options.symmetry_reduction = reduce;
-      options.sleep_sets = reduce;
       const auto legacy_result = sched::explore(legacy, options);
       const auto ir_result = sched::explore(ir, options);
       expect_census_equal(legacy_result, ir_result,

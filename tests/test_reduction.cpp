@@ -1,10 +1,7 @@
-// Soundness tests for the PR-4 state-space reductions (sched/reduce.hpp):
-// symmetry reduction and sleep-set POR, across both explorers.
+// Soundness tests for process-symmetry reduction (sched/reduce.hpp),
+// across both DFS explorers.
 //
 // The contracts under test (DESIGN.md §3d):
-//   * Sleep sets prune TRANSITIONS, never states: a por-only pass visits
-//     exactly the unreduced census — states, terminals, per-kind terminal
-//     violations, agreed values.
 //   * Symmetry reduction visits one representative per orbit: the census
 //     shrinks (never grows), but every orbit-INVARIANT quantity — agreed
 //     values, presence of each violation class, nontermination verdict,
@@ -13,8 +10,6 @@
 //     unreduced world: it strict-replays from the initial state.
 //   * The canonical representative is unique per orbit: permuting which
 //     process holds which role never changes canonical_words.
-//   * normalize_trace canonicalizes commuting adjacent steps without
-//     changing the final state, and is idempotent.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -40,66 +35,35 @@ using testutil::full_space_options;
 using testutil::GridCase;
 using testutil::make_world;
 
-ExploreOptions with_reductions(const ExploreOptions& base, bool sym,
-                               bool por) {
+ExploreOptions with_symmetry(const ExploreOptions& base, bool sym) {
   ExploreOptions options = base;
   options.symmetry_reduction = sym;
-  options.sleep_sets = por;
   return options;
 }
 
 // --- Full-grid differential census: sequential explorer -------------------
 
-TEST(ReductionSoundness, SleepSetsPreserveExactCensus) {
-  for (const GridCase& gc : differential_grid()) {
-    const SimWorld world = make_world(gc);
-    const ExploreOptions base = full_space_options(gc);
-    const auto oracle = explore(world, with_reductions(base, false, false));
-    const auto por = explore(world, with_reductions(base, false, true));
-
-    EXPECT_EQ(oracle.complete, por.complete) << gc.name;
-    EXPECT_EQ(oracle.states_visited, por.states_visited) << gc.name;
-    EXPECT_EQ(oracle.terminal_states, por.terminal_states) << gc.name;
-    EXPECT_EQ(oracle.agreed_values, por.agreed_values) << gc.name;
-    for (const ViolationKind kind :
-         {ViolationKind::kInconsistent, ViolationKind::kInvalid,
-          ViolationKind::kStalled}) {
-      EXPECT_EQ(oracle.violations_of(kind), por.violations_of(kind))
-          << gc.name << " kind=" << to_string(kind);
-    }
-    EXPECT_EQ(oracle.violations_of(ViolationKind::kNontermination) > 0,
-              por.violations_of(ViolationKind::kNontermination) > 0)
-        << gc.name;
-    if (por.violation) {
-      expect_witness_reproduces(world, *por.violation, gc.name + "/por");
-    }
-  }
-}
-
 TEST(ReductionSoundness, SymmetryPreservesOrbitInvariants) {
   for (const GridCase& gc : differential_grid()) {
     const SimWorld world = make_world(gc);
     const ExploreOptions base = full_space_options(gc);
-    const auto oracle = explore(world, with_reductions(base, false, false));
-    for (const bool por : {false, true}) {
-      const auto reduced = explore(world, with_reductions(base, true, por));
-      const std::string label =
-          gc.name + (por ? "/sym+por" : "/sym");
+    const auto oracle = explore(world, with_symmetry(base, false));
+    const auto reduced = explore(world, with_symmetry(base, true));
+    const std::string label = gc.name + "/sym";
 
-      EXPECT_EQ(oracle.complete, reduced.complete) << label;
-      EXPECT_LE(reduced.states_visited, oracle.states_visited) << label;
-      EXPECT_LE(reduced.terminal_states, oracle.terminal_states) << label;
-      EXPECT_EQ(oracle.agreed_values, reduced.agreed_values) << label;
-      for (const ViolationKind kind :
-           {ViolationKind::kInconsistent, ViolationKind::kInvalid,
-            ViolationKind::kStalled, ViolationKind::kNontermination}) {
-        EXPECT_EQ(oracle.violations_of(kind) > 0,
-                  reduced.violations_of(kind) > 0)
-            << label << " kind=" << to_string(kind);
-      }
-      if (reduced.violation) {
-        expect_witness_reproduces(world, *reduced.violation, label);
-      }
+    EXPECT_EQ(oracle.complete, reduced.complete) << label;
+    EXPECT_LE(reduced.states_visited, oracle.states_visited) << label;
+    EXPECT_LE(reduced.terminal_states, oracle.terminal_states) << label;
+    EXPECT_EQ(oracle.agreed_values, reduced.agreed_values) << label;
+    for (const ViolationKind kind :
+         {ViolationKind::kInconsistent, ViolationKind::kInvalid,
+          ViolationKind::kStalled, ViolationKind::kNontermination}) {
+      EXPECT_EQ(oracle.violations_of(kind) > 0,
+                reduced.violations_of(kind) > 0)
+          << label << " kind=" << to_string(kind);
+    }
+    if (reduced.violation) {
+      expect_witness_reproduces(world, *reduced.violation, label);
     }
   }
 }
@@ -110,10 +74,10 @@ TEST(ReductionSoundness, ParallelReducedMatchesSequentialReduced) {
   for (const GridCase& gc : differential_grid()) {
     const SimWorld world = make_world(gc);
     const ExploreOptions base = full_space_options(gc);
-    const auto seq = explore(world, with_reductions(base, true, true));
+    const auto seq = explore(world, with_symmetry(base, true));
 
     ParallelExploreOptions popts;
-    popts.explore = with_reductions(base, true, true);
+    popts.explore = with_symmetry(base, true);
     popts.num_threads = 2;
     const auto par = parallel_explore(world, popts);
     const std::string label = gc.name + "/parallel-reduced";
@@ -195,59 +159,6 @@ TEST(OrbitCanonicalization, EquivariantUnderPermutedSchedules) {
     EXPECT_EQ(canonical_words(ea), canonical_words(eb)) << "prefix " << i;
     EXPECT_EQ(fingerprint_state(ea, true), fingerprint_state(eb, true))
         << "prefix " << i;
-  }
-}
-
-// --- Commutation / trace normalization -------------------------------------
-
-SimWorld announce_world(std::uint32_t n) {
-  const consensus::AnnounceCasFactory factory(n);
-  SimConfig config;
-  config.num_objects = factory.objects_used();
-  config.num_registers = factory.registers_used();
-  config.kind = model::FaultKind::kOverriding;
-  config.t = 1;
-  std::vector<std::uint64_t> inputs(n);
-  std::iota(inputs.begin(), inputs.end(), 1);
-  return SimWorld(config, factory, inputs);
-}
-
-TEST(NormalizeTrace, CommutingOrdersNormalizeIdentically) {
-  // The announce phase writes per-process registers: p0's and p1's first
-  // steps touch different registers and commute.  Both interleavings must
-  // normalize to the same trace with the same final state.
-  const SimWorld world = announce_world(2);
-  const std::vector<Choice> ab{{0, false, 0}, {1, false, 0}};
-  const std::vector<Choice> ba{{1, false, 0}, {0, false, 0}};
-
-  const auto norm_ab = normalize_trace(world, ab);
-  const auto norm_ba = normalize_trace(world, ba);
-  EXPECT_EQ(norm_ab, norm_ba);
-  EXPECT_EQ(replay(world, ab).encode(), replay(world, norm_ab).encode());
-  EXPECT_EQ(replay(world, ba).encode(), replay(world, norm_ba).encode());
-}
-
-TEST(NormalizeTrace, PreservesFinalStateAndIsIdempotent) {
-  // Deterministic pseudo-random walks: normalization must never change
-  // where a schedule lands, and a normalized schedule is a fixed point.
-  const SimWorld initial = announce_world(3);
-  for (std::uint64_t salt = 0; salt < 8; ++salt) {
-    SimWorld world = initial;
-    std::vector<Choice> schedule;
-    std::uint64_t x = 0x9E3779B97F4A7C15ULL * (salt + 1);
-    while (!world.terminal()) {
-      const auto choices = world.enabled();
-      x = util::mix64(x);
-      const Choice c = choices[x % choices.size()];
-      schedule.push_back(c);
-      world.apply(c);
-    }
-    const auto normalized = normalize_trace(initial, schedule);
-    EXPECT_EQ(replay(initial, schedule).encode(),
-              replay(initial, normalized).encode())
-        << "salt " << salt;
-    EXPECT_EQ(normalize_trace(initial, normalized), normalized)
-        << "salt " << salt;
   }
 }
 

@@ -139,14 +139,34 @@ TEST(JobSpec, SemanticEditsChangeTheFingerprint) {
   }
 }
 
+TEST(JobSpec, SleepSetsMovesNeitherDocumentNorFingerprint) {
+  // sleep_sets is an ignored member: no engine reads it, so it must key
+  // neither the canonical document nor the cache.
+  verify::JobSpec off = tiny_spec();
+  off.sleep_sets = false;
+  verify::JobSpec on = tiny_spec();
+  on.sleep_sets = true;
+  EXPECT_EQ(off.canonical_json(), on.canonical_json());
+  EXPECT_EQ(verify::job_fingerprint(off), verify::job_fingerprint(on));
+  EXPECT_EQ(on.canonical_json().find("sleep_sets"), std::string::npos);
+  EXPECT_EQ(verify::JobSpec::parse(on.canonical_json()), on.canonicalized());
+}
+
+TEST(JobSpec, DocumentCarryingSleepSetsParses) {
+  // Documents written while sleep_sets was a semantic member still parse
+  // (from_json skips members it does not read) to the same job.
+  const verify::JobSpec spec = tiny_spec();
+  std::string doc = spec.canonical_json();
+  const std::string anchor = "\"symmetry_reduction\":true,";
+  const std::size_t at = doc.find(anchor);
+  ASSERT_NE(at, std::string::npos) << doc;
+  doc.insert(at + anchor.size(), "\"sleep_sets\":true,");
+  const verify::JobSpec reparsed = verify::JobSpec::parse(doc);
+  EXPECT_EQ(reparsed, spec.canonicalized());
+  EXPECT_EQ(verify::job_fingerprint(reparsed), verify::job_fingerprint(spec));
+}
+
 TEST(JobSpec, ValidationRejectsIllegalCombinations) {
-  {
-    verify::JobSpec spec = tiny_spec();
-    spec.engine = verify::Engine::kFrontier;  // sleep_sets defaults true
-    EXPECT_THROW(spec.validate(), std::invalid_argument);
-    spec.sleep_sets = false;
-    EXPECT_NO_THROW(spec.validate());
-  }
   {
     verify::JobSpec spec = tiny_spec();
     spec.protocol = "no-such-protocol";
@@ -156,6 +176,25 @@ TEST(JobSpec, ValidationRejectsIllegalCombinations) {
     verify::JobSpec spec = tiny_spec();
     spec.processes = 0;
     EXPECT_THROW(spec.validate(), std::invalid_argument);
+  }
+  for (const char* protocol : {"announce-cas", "tas"}) {
+    // Sized by n (default 2): one register per process, so a third
+    // process would index past the layout.  The error names both counts.
+    verify::JobSpec spec = tiny_spec();
+    spec.protocol = protocol;
+    spec.processes = 3;
+    try {
+      spec.validate();
+      ADD_FAILURE() << protocol << ": processes > n validated";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("n = 2"), std::string::npos) << what;
+      EXPECT_NE(what.find("processes = 3"), std::string::npos) << what;
+    }
+    spec.params["n"] = 3;
+    EXPECT_NO_THROW(spec.validate()) << protocol;
+    spec.processes = 2;  // fewer processes than registers is legal
+    EXPECT_NO_THROW(spec.validate()) << protocol;
   }
   {
     verify::JobSpec spec = tiny_spec();
@@ -209,7 +248,6 @@ TEST(VerifyCache, ReportJsonRoundTripsBitForBit) {
        {tiny_spec(), [] {
           auto s = tiny_spec();
           s.engine = verify::Engine::kFrontier;
-          s.sleep_sets = false;
           return s;
         }()}) {
     const verify::Report report = verify::run(spec, &cache).report;
@@ -376,6 +414,18 @@ TEST(VerifyCache, DeterministicFuzzIsCacheable) {
 // Engine parity through the job layer.
 // ---------------------------------------------------------------------------
 
+TEST(VerifyRun, FrontierJobWithSleepSetsValidatesAndRuns) {
+  verify::JobSpec spec = tiny_spec();
+  spec.engine = verify::Engine::kFrontier;
+  spec.threads = 2;
+  spec.sleep_sets = true;
+  EXPECT_NO_THROW(spec.validate());
+  verify::JobSpec dfs = tiny_spec();
+  const verify::Report frontier = verify::run(spec).report;
+  EXPECT_TRUE(frontier.complete);
+  EXPECT_TRUE(census_equal(frontier, verify::run(dfs).report));
+}
+
 TEST(VerifyRun, EnginesAgreeOnTheCensusForTheSameJob) {
   // dfs, parallel and frontier runs of the same JobSpec must produce
   // census_equal Reports — the job layer's restatement of the
@@ -389,7 +439,6 @@ TEST(VerifyRun, EnginesAgreeOnTheCensusForTheSameJob) {
   verify::JobSpec fro = dfs;
   fro.engine = verify::Engine::kFrontier;
   fro.threads = 4;
-  fro.sleep_sets = false;
 
   const verify::Report a = verify::run(dfs).report;
   const verify::Report b = verify::run(par).report;

@@ -224,12 +224,6 @@ std::string emit_machine(const Program& p, const std::string& cls,
   o << "  [[nodiscard]] bool done() const override { return halted_; }\n";
   o << "  [[nodiscard]] std::uint64_t decision() const override {\n"
        "    return decision_;\n"
-       "  }\n";
-  // pc_ is materialized at every pause/halt, so the generated machine can
-  // name its pending IR site exactly like IrMachine — this is what lets
-  // the scheduler consult ffcheck's static footprints for POR.
-  o << "  [[nodiscard]] std::uint32_t pending_site() const override {\n"
-       "    return halted_ ? sched::kNoSite : pc_;\n"
        "  }\n\n";
 
   o << "  void encode(std::vector<std::uint64_t>& out) const override {\n";
