@@ -19,6 +19,8 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "proto/analysis/analysis.hpp"
 #include "proto/registry.hpp"
@@ -172,10 +174,22 @@ void print_witness_replay(const sched::SimWorld& world,
   }
 }
 
+/// A misspelled or removed flag must not silently run a different job:
+/// reports the first flag no reader asked for.  Call after every flag
+/// the command knows has been read.
+bool reject_unknown_flags(const util::Cli& cli) {
+  const std::vector<std::string> unread = cli.unread();
+  if (unread.empty()) return false;
+  std::cerr << "unknown flag --" << unread.front()
+            << " (see --help for the flags)\n";
+  return true;
+}
+
 /// `fault_explorer cache stats|gc|invalidate <protocol> --cache-dir ...`.
 int run_cache_command(const util::Cli& cli) {
   const auto& args = cli.positional();
   const std::string dir = cli.get_string("cache-dir", "");
+  if (reject_unknown_flags(cli)) return 2;
   if (dir.empty()) {
     std::cerr << "cache subcommand requires --cache-dir\n";
     return 2;
@@ -412,7 +426,13 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (cli.has("analyze")) {
+  const bool analyze = cli.has("analyze");
+  const std::string cache_dir = cli.get_string("cache-dir", "");
+  const bool no_cache = cli.has("no-cache");
+  const std::string json_path = cli.get_string("json", "");
+  if (reject_unknown_flags(cli)) return 2;
+
+  if (analyze) {
     const auto instance = verify::instantiate(spec);
     const auto report = proto::analysis::analyze(*instance.program);
     std::cout << proto::analysis::render_human(report);
@@ -420,10 +440,7 @@ int main(int argc, char** argv) {
   }
 
   std::optional<verify::Cache> cache;
-  const std::string cache_dir = cli.get_string("cache-dir", "");
-  if (!cache_dir.empty() && !cli.has("no-cache")) {
-    cache.emplace(cache_dir);
-  }
+  if (!cache_dir.empty() && !no_cache) cache.emplace(cache_dir);
 
   const verify::JobSpec canonical = spec.canonicalized();
   std::cout << (spec.engine == verify::Engine::kFuzz
@@ -455,7 +472,6 @@ int main(int argc, char** argv) {
               << '\n';
   }
 
-  const std::string json_path = cli.get_string("json", "");
   if (!json_path.empty()) write_json_summary(json_path, spec, outcome);
 
   switch (spec.engine) {

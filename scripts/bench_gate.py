@@ -14,10 +14,13 @@ B3 gates (smoke and full mode alike):
   * ir_census_match is true — the IrMachine interpreter and the retired
     hand-written machines explore the identical state graph;
   * ir_overhead <= 0.02 — the ffgen-GENERATED machines machine_factory
-    selects cost at most 2% over the hand-written machines on the
-    hot-path instance (straight-line codegen owes native speed; the
+    selects cost at most 2% over the hand-written machines, as the
+    median of paired rounds of random-walk campaigns on the hot-path
+    instance (a walk steps a machine on every transition; the
+    exhaustive engines step memoized lanes and would time themselves).
+    The rounds' min and max are printed beside it, not gated; the
     interpreter's cost is reported separately as interpreter_overhead,
-    informational);
+    informational;
   * codegen_census_match is true — generated and interpreted machines
     produce the identical census for every simulable registry protocol;
   * immune_census_match is true — skipping overriding-fault branches on
@@ -87,10 +90,14 @@ def gate_b3(report):
     immune_census_ok = bool(report["immune_census_match"])
     immune_factor = float(report["immune_prune_factor"])
 
+    overhead_min = float(report.get("ir_overhead_min", ir_overhead))
+    overhead_max = float(report.get("ir_overhead_max", ir_overhead))
+
     mode = "smoke" if report.get("smoke") else "full"
     print(f"bench gate B3 ({mode}): reduction {unreduced} -> {reduced} "
           f"states ({factor:.2f}x), census match: {census_ok}, "
-          f"generated overhead: {ir_overhead:.3f} (interpreter: "
+          f"generated overhead: {ir_overhead:.3f} (min {overhead_min:.3f}, "
+          f"max {overhead_max:.3f}; interpreter: "
           f"{interp_overhead:.3f}), ir census match: {ir_census_ok}, "
           f"codegen census match: {codegen_census_ok}, immune prune "
           f"{immune_factor:.2f}x (census match: {immune_census_ok})")

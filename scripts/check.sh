@@ -13,14 +13,18 @@
 #      fuzz campaign per seed protocol);
 #   4. FF_SANITIZE=thread build → the multi-threaded suites (label `tsan`,
 #      i.e. the parallel-explorer and frontier-explorer differential
-#      harnesses, a parallel worker's exception rethrown to the caller,
+#      harnesses — the frontier's workers share one lane arena
+#      (sched/lane_space.hpp) — a parallel worker's exception rethrown
+#      to the caller,
 #      and the real-thread stress suites, the
 #      crashed-and-restarted worker threads of the recoverable-consensus
 #      campaign included, and the census cache's concurrent same-key
 #      writers) under ThreadSanitizer;
-#   5. FF_SANITIZE=address build → the memory-heavy fuzzer/explorer suites
-#      and the post-join cycle scan's CSR, peel and Tarjan indexing
-#      (label `asan`) under AddressSanitizer + UndefinedBehaviorSanitizer;
+#   5. FF_SANITIZE=address build → the memory-heavy fuzzer/explorer suites,
+#      the post-join cycle scan's CSR, peel and Tarjan indexing, the
+#      lane-space lockstep suite with the DFS Report pin, and the
+#      out-of-range access rule (label `asan`) under AddressSanitizer +
+#      UndefinedBehaviorSanitizer;
 #      stages 4 and 5 build the ff_tsan_tests / ff_asan_tests targets,
 #      which tests/CMakeLists.txt derives from the label lists;
 #   6. ff-lint (label `lint`): the rule-engine test suite plus a tree
@@ -37,7 +41,8 @@
 #      bench_b4_fuzzer/bench_b5_crash/bench_b6_frontier --json --smoke,
 #      then scripts/bench_gate.py asserts the B3 state-space reduction
 #      is >= 5x with a matching differential census, the
-#      generated-machine overhead is <= 2% with every registry
+#      generated-machine overhead on random-walk campaigns (which step a
+#      machine on every transition) is <= 2% with every registry
 #      protocol's generated census matching the interpreter, the A2
 #      immunity pruning leaves the census bit-identical with a prune
 #      factor >= 1, the B5 crash growth/latency bounds hold, and the B6

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "sched/explore_common.hpp"
+#include "sched/lane_space.hpp"
 #include "sched/reduce.hpp"
 
 namespace ff::sched {
@@ -15,36 +16,27 @@ using detail::Fingerprint;
 using detail::FingerprintHash;
 using detail::FlatFpMap;
 using detail::check_terminal;
-using detail::fingerprint;
 using detail::table_hint;
 
 ExploreResult explore(const SimWorld& initial, const ExploreOptions& options) {
   ExploreResult result;
 
-  // The prune counters live in the world and are SHARED by every copy
-  // (including `cur` below), so this search's contribution is the delta
-  // over the initial snapshot — callers may reuse one world across runs.
-  const std::uint64_t checks0 = initial.immunity_checks();
-  const std::uint64_t skips0 = initial.immunity_skips();
-
   const bool sym =
       options.symmetry_reduction && initial.processes_symmetric();
 
-  constexpr std::uint32_t kNotOnPath = 0xFFFFFFFFu;
-
-  // DFS frames index into a shared arena instead of owning vectors: a
-  // frame's transition list lives contiguously in choice_arena, and frame
-  // pops truncate it LIFO-style.  Worlds and encodings stay REAL (one
-  // concrete representative); only the memoization key is canonicalized,
+  // The search walks compact states (sched/lane_space.hpp): shared words
+  // plus one hash-consed machine lane per process, stepped through the
+  // memo.  Frames keep their states in one flat arena, `stride` words
+  // each, and their transition lists in choice_arena; both are truncated
+  // LIFO-style as frames pop.  Traversal stays concrete — one real
+  // representative per state, only the memoization key is canonical —
   // so every recorded witness is a directly replayable schedule.
-  //
-  // Frames do NOT own worlds.  The stack is always a root-to-current
-  // path, so a single world (`cur`) is stepped in place on descent and
-  // rolled back on pop via a per-depth StepUndo stack — no state ever
-  // pays a full world copy (which clones every machine), only the one
-  // machine clone its arrival step saves.
+  LaneArena arena;
+  LaneCache cache;
+  const LaneSpace space(initial, arena, sym, options.killed_is_violation);
+  const std::size_t stride = space.stride();
+
   struct Frame {
-    EncodedState enc;
     std::uint32_t id = 0;
     std::uint32_t tran_off = 0;
     std::uint32_t tran_count = 0;
@@ -53,106 +45,117 @@ ExploreResult explore(const SimWorld& initial, const ExploreOptions& options) {
     std::uint32_t depth = 0;
   };
 
-  StateEncoder encoder;
   FlatFpMap table(table_hint(options));
   std::uint32_t next_id = 0;
 
-  // Frame index of each state while it is on the DFS path, indexed by the
-  // dense id the table hands out.
-  std::vector<std::uint32_t> path_frame;
-
-  std::vector<Frame> stack;
-  std::vector<Choice> choice_arena;
-  std::vector<Choice> path;
-  stack.reserve(256);
-  choice_arena.reserve(4096);
-  path.reserve(1024);
-  path_frame.reserve(table_hint(options));
-
-  // The one concrete world, stepped in place.  undo_stack[i] rolls the
-  // world back from frame i's state to frame i-1's; the slots are reused
-  // across the search so their buffers stop allocating.
-  SimWorld cur(initial);
-  std::vector<SimWorld::StepUndo> undo_stack;
-  undo_stack.resize(64);
-  auto undo_slot = [&](std::size_t i) -> SimWorld::StepUndo& {
-    if (i >= undo_stack.size()) undo_stack.resize(i + 32);
-    return undo_stack[i];
+  // One bit per state id: set while the state is on the DFS path.  The
+  // ancestor frame itself is looked up only on a back-edge.
+  std::vector<std::uint64_t> on_path;
+  const auto set_on_path = [&](std::uint32_t id, bool on) {
+    const std::uint64_t bit = std::uint64_t{1} << (id & 63);
+    on_path[id >> 6] = on ? on_path[id >> 6] | bit : on_path[id >> 6] & ~bit;
+  };
+  const auto new_id = [&] {
+    if ((next_id & 63) == 0) on_path.push_back(0);
+    return next_id++;
   };
 
-  EncodedState child_enc;  // reusable scratch
+  std::vector<Frame> stack;
+  std::vector<std::uint64_t> states;  // frame i's state at [i*stride, +stride)
+  std::vector<Choice> choice_arena;
+  std::vector<Choice> path;
+  std::vector<Choice> enabled;  // reusable scratch
+  std::vector<std::uint64_t> child(stride);
+  stack.reserve(256);
+  states.reserve(256 * stride);
+  choice_arena.reserve(4096);
+  path.reserve(1024);
+  on_path.reserve(table_hint(options) / 64 + 1);
 
-  // Pushes a frame for the state `cur` currently holds.
-  auto push_frame = [&](EncodedState&& enc, std::uint32_t id,
-                        std::uint32_t depth) {
+  const auto push_frame = [&](const std::uint64_t* state, std::uint32_t id,
+                              std::uint32_t depth) {
     const auto tran_off = static_cast<std::uint32_t>(choice_arena.size());
-    const std::vector<Choice> enabled = cur.enabled();
+    space.enabled(state, enabled, cache);
     choice_arena.insert(choice_arena.end(), enabled.begin(), enabled.end());
-    path_frame[id] = static_cast<std::uint32_t>(stack.size());
-    stack.push_back(Frame{std::move(enc), id, tran_off,
+    states.insert(states.end(), state, state + stride);
+    set_on_path(id, true);
+    stack.push_back(Frame{id, tran_off,
                           static_cast<std::uint32_t>(enabled.size()), 0,
                           depth});
   };
 
-  auto record_terminal = [&](const SimWorld& world) {
+  // The verdict comes from the compact state; the first violation's
+  // detail string from replaying its path through SimWorld.
+  const auto record_terminal = [&](const std::uint64_t* state) {
     ++result.terminal_states;
-    std::string detail;
-    const auto kind = check_terminal(world, options, detail);
-    if (kind) {
+    const TerminalVerdict verdict = space.verdict(state);
+    if (verdict.kind) {
       ++result.violations_found;
-      ++result.violations_by_kind[*kind];
+      ++result.violations_by_kind[*verdict.kind];
       if (!result.violation) {
-        result.violation = Violation{*kind, path, std::move(detail)};
+        std::string detail;
+        const auto kind =
+            check_terminal(replay(initial, path), options, detail);
+        assert(kind == verdict.kind);
+        (void)kind;
+        result.violation = Violation{*verdict.kind, path, std::move(detail)};
       }
       return options.stop_at_first_violation;
     }
-    if (const auto agreed = detail::agreed_value(world)) {
-      result.agreed_values.insert(*agreed);
-    }
+    if (verdict.agreed) result.agreed_values.insert(*verdict.agreed);
     return false;
   };
 
-  EncodedState root_enc;
-  encoder.encode(initial, root_enc);
-  table.insert_or_get(fingerprint_state(root_enc, sym), next_id++);
-  path_frame.push_back(kNotOnPath);
+  const auto finish = [&](bool complete) {
+    result.complete = complete;
+    result.table_grows = table.grows();
+    result.immunity_checks = cache.immunity_checks;
+    result.immunity_skips = cache.immunity_skips;
+    // End-of-run capacity census of the monotone search structures (the
+    // table, the arenas and the lane memo are never shrunk, so final
+    // capacity is peak capacity).
+    result.peak_bytes =
+        table.capacity() * 24 + on_path.capacity() * sizeof(std::uint64_t) +
+        stack.capacity() * sizeof(Frame) +
+        states.capacity() * sizeof(std::uint64_t) +
+        choice_arena.capacity() * sizeof(Choice) +
+        path.capacity() * sizeof(Choice) + arena.bytes() +
+        cache.memo_bytes();
+    return result;
+  };
+
+  space.state_of(initial, child.data());
+  table.insert_or_get(space.fingerprint(child.data(), cache), new_id());
   result.states_visited = 1;
 
-  if (initial.terminal()) {
-    record_terminal(initial);
-    result.complete =
-        result.violations_found == 0 || !options.stop_at_first_violation;
-    result.table_grows = table.grows();
-    result.immunity_checks = initial.immunity_checks() - checks0;
-    result.immunity_skips = initial.immunity_skips() - skips0;
-    result.peak_bytes = table.capacity() * 24;
-    return result;
+  if (space.terminal(child.data())) {
+    record_terminal(child.data());
+    return finish(result.violations_found == 0 ||
+                  !options.stop_at_first_violation);
   }
 
-  push_frame(std::move(root_enc), 0, 0);
+  push_frame(child.data(), 0, 0);
 
   bool aborted = false;
   while (!stack.empty()) {
     Frame& frame = stack.back();
     if (frame.next >= frame.tran_count) {
-      path_frame[frame.id] = kNotOnPath;
+      set_on_path(frame.id, false);
       path.resize(frame.depth == 0 ? 0 : frame.depth - 1);
       choice_arena.resize(frame.tran_off);
-      if (stack.size() > 1) cur.undo_step(undo_stack[stack.size() - 1]);
+      states.resize(states.size() - stride);
       stack.pop_back();
       continue;
     }
 
     const Choice choice = choice_arena[frame.tran_off + frame.next++];
-    // Expand in place (StepUndo): `cur` steps forward; if the child turns
-    // out to be a duplicate or terminal it is rolled back immediately, if
-    // it becomes a frame the undo stays on undo_stack until that frame
-    // pops.  Either way the step costs one machine clone, never a full
-    // world copy.
-    SimWorld::StepUndo& undo = undo_slot(stack.size());
-    cur.apply_with_undo(choice, undo);
-    encoder.patch(cur, frame.enc, choice.pid, child_enc);
-    const Fingerprint fp = fingerprint_state(child_enc, sym);
+    space.apply(states.data() + states.size() - stride, choice, child.data(),
+                cache);
+    if (arena.overflowed()) {
+      aborted = true;
+      break;
+    }
+    const Fingerprint fp = space.fingerprint(child.data(), cache);
     table.prefetch(fp);  // overlap the probe's DRAM miss with the below
 
     path.push_back(choice);
@@ -160,17 +163,15 @@ ExploreResult explore(const SimWorld& initial, const ExploreOptions& options) {
 
     const std::uint32_t existing = table.insert_or_get(fp, next_id);
     if (existing == FlatFpMap::kNoValue) {
-      const std::uint32_t id = next_id++;
-      path_frame.push_back(kNotOnPath);
+      const std::uint32_t id = new_id();
       ++result.states_visited;
       if (options.max_states != 0 &&
           result.states_visited > options.max_states) {
         aborted = true;
         break;
       }
-      if (cur.terminal()) {
-        const bool stop = record_terminal(cur);
-        cur.undo_step(undo);
+      if (space.terminal(child.data())) {
+        const bool stop = record_terminal(child.data());
         path.pop_back();
         if (stop) {
           aborted = true;
@@ -178,20 +179,20 @@ ExploreResult explore(const SimWorld& initial, const ExploreOptions& options) {
         }
         continue;
       }
-      const auto depth = static_cast<std::uint32_t>(path.size());
-      push_frame(std::move(child_enc), id, depth);
+      push_frame(child.data(), id, static_cast<std::uint32_t>(path.size()));
       continue;
     }
 
-    cur.undo_step(undo);
-    if (path_frame[existing] != kNotOnPath) {
+    if ((on_path[existing >> 6] >> (existing & 63) & 1) != 0) {
       // Back-edge: the child is (an orbit-mate of) a state on the current
       // path — an infinite execution exists.  It violates wait-freedom
       // only if a process (not the corruption adversary) steps within the
       // repeating segment.
-      const Frame& anc = stack[path_frame[existing]];
+      std::size_t anc = stack.size() - 1;
+      while (stack[anc].id != existing) --anc;
+      const std::uint32_t anc_depth = stack[anc].depth;
       bool process_steps = false;
-      for (std::size_t i = anc.depth; i < path.size(); ++i) {
+      for (std::size_t i = anc_depth; i < path.size(); ++i) {
         if (path[i].pid != kAdversaryPid) {
           process_steps = true;
           break;
@@ -206,17 +207,16 @@ ExploreResult explore(const SimWorld& initial, const ExploreOptions& options) {
             // Under symmetry the segment returns to an orbit-mate, not
             // necessarily the exact ancestor encoding; extend it by
             // permuted laps until the encoding closes exactly, so the
-            // witness strict-replays.  Frames hold no worlds, so the
-            // ancestor state is rebuilt by replaying its path prefix —
-            // a one-off O(depth) cost on the first witness only.
-            SimWorld anc_world(initial);
-            for (std::size_t i = 0; i < anc.depth; ++i) {
-              anc_world.apply(path[i]);
-            }
-            const std::vector<Choice> segment(path.begin() + anc.depth,
+            // witness strict-replays.  The ancestor world is rebuilt by
+            // replaying its path prefix — a one-off O(depth) cost on the
+            // first witness only.
+            const SimWorld anc_world = replay(
+                initial, std::vector<Choice>(path.begin(),
+                                             path.begin() + anc_depth));
+            const std::vector<Choice> segment(path.begin() + anc_depth,
                                               path.end());
             if (auto closed = close_symmetric_cycle(anc_world, segment)) {
-              witness.assign(path.begin(), path.begin() + anc.depth);
+              witness.assign(path.begin(), path.begin() + anc_depth);
               witness.insert(witness.end(), closed->begin(), closed->end());
             }
           }
@@ -234,19 +234,7 @@ ExploreResult explore(const SimWorld& initial, const ExploreOptions& options) {
     path.pop_back();
   }
 
-  result.complete = !aborted && stack.empty();
-  result.table_grows = table.grows();
-  result.immunity_checks = cur.immunity_checks() - checks0;
-  result.immunity_skips = cur.immunity_skips() - skips0;
-  // End-of-run capacity census of the monotone search structures (the
-  // table and the per-state/per-frame arenas are never shrunk, so final
-  // capacity is peak capacity).
-  result.peak_bytes =
-      table.capacity() * 24 + path_frame.capacity() * sizeof(std::uint32_t) +
-      stack.capacity() * sizeof(Frame) +
-      choice_arena.capacity() * sizeof(Choice) +
-      path.capacity() * sizeof(Choice);
-  return result;
+  return finish(!aborted && stack.empty());
 }
 
 SimWorld replay(const SimWorld& initial, const std::vector<Choice>& schedule) {

@@ -3,10 +3,13 @@
 //
 // The search is a depth-first traversal of the state graph with
 // memoization: global states are fingerprinted (128-bit) and each state is
-// expanded once.  Because fault firing is an explicit adversary branch,
-// a completed exploration is a proof (up to fingerprint collisions,
-// probability ~ |states|²/2^128) that NO schedule and NO fault placement
-// within the configured (f, t) budget violates the checked property —
+// expanded once.  It steps compact states through sched/lane_space.hpp,
+// whose machine steps are memoized per (lane, returned value).  Because
+// fault firing is an explicit adversary branch, a completed exploration
+// is a proof (up to fingerprint collisions, probability ~ |states|²/2^128,
+// and lane-key collisions, ~ |lanes|²/2^128 with far fewer lanes than
+// states) that NO schedule and NO fault placement within the configured
+// (f, t) budget violates the checked property —
 // this is how the upper-bound theorems are validated, and how the
 // impossibility theorems' violating executions are found automatically.
 //
@@ -105,9 +108,9 @@ struct ExploreResult {
   /// regression signal for the stale-pre-size path (batched pools size
   /// their columns from the same hint).
   std::uint64_t table_grows = 0;
-  /// A2 immunity-pruning tallies for THIS search (deltas of the world's
-  /// shared counters): overriding-fault enabling conditions evaluated
-  /// brute-force vs skipped outright via a proved-immune object.  The
+  /// A2 immunity-pruning tallies for THIS search: overriding-fault
+  /// enabling conditions evaluated brute-force vs skipped outright via a
+  /// proved-immune object.  The
   /// prune factor (checks+skips)/checks ≥ 1 measures the branch-factor
   /// reduction ffcheck's A2 bought (bench_b3's `immune_prune_factor`).
   std::uint64_t immunity_checks = 0;

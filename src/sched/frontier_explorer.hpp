@@ -16,10 +16,11 @@
 //   * MEMOIZED LANE STEPPING.  Process states are hash-consed into a
 //     lane arena of StepMachines (a machine's encoded block determines
 //     its behaviour — the StepMachine contract), so stepping is memoized
-//     per (lane, returned value) transition.  The memo answers over 99%
-//     of steps on the reference proofs; a miss is stepped on a clone()
-//     of the lane's machine, so the engine needs nothing from a factory
-//     beyond the MachineFactory interface.
+//     per (lane, returned value) transition — the compact-state kernel
+//     of sched/lane_space.hpp, which the sequential DFS runs on too.
+//     The memo answers over 99% of steps on the reference proofs; a miss
+//     is stepped on a clone() of the lane's machine, so the engine needs
+//     nothing from a factory beyond the MachineFactory interface.
 //
 //   * DISK-SPILLED CENSUSES.  When the in-memory census exceeds a
 //     watermark, each worker sorts its shard's (fingerprint, parent_fp,
@@ -83,9 +84,9 @@ struct FrontierStats {
   std::uint64_t spill_runs = 0;        ///< sorted runs written
   std::uint64_t spilled_records = 0;   ///< records in those runs
   std::uint64_t spill_bytes = 0;       ///< bytes written to spill_dir
-  /// Arena resolve calls that stepped at least one memo miss.
+  /// Memo misses stepped (clone() + deliver()), one per arena call;
+  /// both counters keep their historical names and now read alike.
   std::uint64_t batch_sweeps = 0;
-  /// Memo misses stepped (clone() + deliver()) by those calls.
   std::uint64_t batched_lanes = 0;
   std::uint64_t memo_hits = 0;         ///< transitions answered by memo
   std::uint64_t arena_lanes = 0;       ///< distinct hash-consed lanes

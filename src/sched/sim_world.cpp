@@ -152,8 +152,16 @@ std::vector<Choice> SimWorld::enabled() const {
     if (op.type == OpType::kNone) continue;
     any_live = true;
     out.push_back({pid, false, 0});
+    // An access outside the layout is offered as the plain step (which
+    // throws in apply()) and crash-before, the two choices that do not
+    // read the addressed word.
+    const bool in_range =
+        op.object < (op.type == OpType::kCas ? objects_.size()
+                                             : registers_.size());
     // Register operations are always correct; only CAS steps may fault.
-    if (op.type == OpType::kCas) append_fault_choices(pid, op, out);
+    if (op.type == OpType::kCas && in_range) {
+      append_fault_choices(pid, op, out);
+    }
     // Crash branches (crash_budget > 0 and a recoverable machine only).
     // Variant 0 = crash-before: the pending op never reaches the object.
     // Variant 1 = crash-after: the op's effect lands but the response is
@@ -166,6 +174,7 @@ std::vector<Choice> SimWorld::enabled() const {
         crashes_used_[pid] < config_.crash_budget &&
         machines_[pid]->can_crash()) {
       out.push_back({pid, false, 0, true});
+      if (!in_range) continue;
       if (op.type == OpType::kCas) {
         const model::CasEffect effect = model::cas_apply(
             objects_[op.object], model::CasCall{op.expected, op.desired});
@@ -230,7 +239,7 @@ void SimWorld::apply(const Choice& choice) {
       // Crash-after: the operation's effect reaches the object, but the
       // process crashes before observing the response.
       if (op.type == OpType::kCas) {
-        const model::Value before = objects_[op.object];
+        const model::Value before = objects_.at(op.object);
         const model::CasEffect effect = model::cas_apply(
             before, model::CasCall{op.expected, op.desired});
         objects_[op.object] = effect.after;
@@ -264,7 +273,7 @@ void SimWorld::apply(const Choice& choice) {
   }
 
   assert(op.type == OpType::kCas);
-  const model::Value before = objects_[op.object];
+  const model::Value before = objects_.at(op.object);
   const model::CasCall call{op.expected, op.desired};
 
   faults::CasEvent ev;

@@ -93,7 +93,9 @@ class SimWorld {
   /// All legal choices at the current state.  Empty iff terminal.
   [[nodiscard]] std::vector<Choice> enabled() const;
 
-  /// Advances by one choice (must be one returned by enabled()).
+  /// Advances by one choice (must be one returned by enabled()).  Throws
+  /// std::out_of_range when the step accesses an object or register
+  /// outside the layout (a corrupted value used as an index).
   void apply(const Choice& choice);
 
   /// Saved pre-step state for the explorers' expand-and-roll-back fast

@@ -48,10 +48,12 @@ Cli::Cli(int argc, const char* const* argv) {
 }
 
 bool Cli::has(const std::string& name) const {
+  read_.insert(name);
   return flags_.contains(name);
 }
 
 std::optional<std::string> Cli::get(const std::string& name) const {
+  read_.insert(name);
   const auto it = flags_.find(name);
   if (it == flags_.end()) return std::nullopt;
   return it->second;
@@ -88,6 +90,14 @@ bool Cli::get_bool(const std::string& name, bool fallback) const {
   if (v->empty() || *v == "1" || *v == "true" || *v == "yes") return true;
   if (*v == "0" || *v == "false" || *v == "no") return false;
   throw std::invalid_argument("invalid boolean flag --" + name + "=" + *v);
+}
+
+std::vector<std::string> Cli::unread() const {
+  std::vector<std::string> out;
+  for (const auto& [name, value] : flags_) {
+    if (!read_.contains(name)) out.push_back(name);
+  }
+  return out;
 }
 
 }  // namespace ff::util

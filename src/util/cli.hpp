@@ -1,15 +1,17 @@
 // Tiny command-line flag parser for the bench/example binaries.
 //
-// Supports --name=value, --name value, and bare --flag booleans.  Unknown
-// flags are collected so callers can decide whether to reject them
-// (google-benchmark binaries pass their own flags through).  The typed
-// getters return the fallback for an absent or empty value and throw
-// std::invalid_argument unless the whole value parses.
+// Supports --name=value, --name value, and bare --flag booleans.  Every
+// flag is kept; unread() lists the ones no getter asked for, so a binary
+// that has read all the flags it knows can reject the rest (google-
+// benchmark binaries pass their own flags through and never ask).  The
+// typed getters return the fallback for an absent or empty value and
+// throw std::invalid_argument unless the whole value parses.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -37,9 +39,14 @@ class Cli {
     return positional_;
   }
 
+  /// Flags given on the command line that no has()/get*() call named
+  /// yet, in name order.
+  [[nodiscard]] std::vector<std::string> unread() const;
+
  private:
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace ff::util

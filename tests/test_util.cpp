@@ -286,6 +286,21 @@ TEST(Cli, MalformedNumbersAreRejected) {
   EXPECT_DOUBLE_EQ(cli.get_double("scale", 0), 2.5);
 }
 
+TEST(Cli, UnreadListsTheFlagsNoGetterAskedFor) {
+  const char* argv[] = {"prog", "--n=3", "--no-symetry", "--kind", "silent",
+                        "--json=out.json"};
+  const Cli cli(6, argv);
+  EXPECT_EQ(cli.unread(), (std::vector<std::string>{"json", "kind", "n",
+                                                    "no-symetry"}));
+  EXPECT_EQ(cli.get_uint("n", 2), 3u);
+  EXPECT_FALSE(cli.has("no-symmetry"));  // asked for, but never given
+  (void)cli.get_string("kind", "overriding");
+  (void)cli.get("json");
+  EXPECT_EQ(cli.unread(), std::vector<std::string>{"no-symetry"});
+  EXPECT_TRUE(cli.has("no-symetry"));
+  EXPECT_TRUE(cli.unread().empty());
+}
+
 // --- spin barrier --------------------------------------------------------
 
 TEST(SpinBarrier, SynchronizesAndReuses) {
