@@ -132,44 +132,10 @@ void BM_ExploreStagedTwoObjects(benchmark::State& state) {
 }
 BENCHMARK(BM_ExploreStagedTwoObjects)->Unit(benchmark::kMillisecond);
 
-// --- Parallel explorer speedup --------------------------------------------
-//
-// staged f=1, t=2 at n=3 reaches ~1.37M distinct states — large enough
-// that the parallel explorer's thread sweep exposes real scaling, small
-// enough for a full-space traversal per iteration.  Compare
-// BM_ExploreMillionSequential against BM_ExploreMillionParallel/N for the
-// wall-clock speedup; the `states` counter confirms both traversals cover
-// the identical reachable set.
-
 void BM_ExploreMillionSequential(benchmark::State& state) {
   run_explore(state, staged_spec(1, 2, 3));
 }
 BENCHMARK(BM_ExploreMillionSequential)->Unit(benchmark::kMillisecond);
-
-void BM_ExploreMillionParallel(benchmark::State& state) {
-  verify::JobSpec spec = staged_spec(1, 2, 3);
-  spec.engine = verify::Engine::kParallel;
-  spec.threads = static_cast<std::uint32_t>(state.range(0));
-  run_explore(state, spec);
-}
-BENCHMARK(BM_ExploreMillionParallel)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
-void BM_ParallelExploreStagedSmall(benchmark::State& state) {
-  // Same configuration as BM_ExploreStaged t=2 — overhead comparison on a
-  // small graph, where locking cost dominates and parallelism cannot win.
-  verify::JobSpec spec = staged_spec(1, 2, 2);
-  spec.engine = verify::Engine::kParallel;
-  spec.threads = static_cast<std::uint32_t>(state.range(0));
-  run_explore(state, spec);
-}
-BENCHMARK(BM_ParallelExploreStagedSmall)->Arg(1)->Arg(4);
 
 void BM_SimWorldStepApply(benchmark::State& state) {
   // Cost of one simulated step (clone-free path): drive a solo staged

@@ -15,6 +15,7 @@
 //   $ ./fault_explorer --protocol herlihy --n 2 --kind silent --t 1
 //   $ ./fault_explorer --protocol staged --t 2 --n 3 --cache-dir ~/.ffcache
 //   $ ./fault_explorer cache stats --cache-dir ~/.ffcache
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -63,11 +64,10 @@ void print_usage() {
       "  --n         processes                                 (default 2)\n"
       "  --objects   object count for fp1                      (default f+1)\n"
       "  --state-cap explorer state limit                      (default 4e6)\n"
-      "  --engine    dfs | parallel | frontier | fuzz | stress (default dfs;\n"
-      "              --threads > 0 without --engine implies parallel).\n"
+      "  --engine    dfs | frontier | fuzz | stress             (default dfs)\n"
       "              frontier = batched owner-computes BFS wavefront engine\n"
       "              (DESIGN.md §3i)\n"
-      "  --threads   worker threads for parallel/frontier;\n"
+      "  --threads   frontier worker threads;\n"
       "              0 = one per hardware thread                (default 0)\n"
       "  --spill-dir frontier only: directory for sorted census spill runs\n"
       "              (witnesses are reconstructed back through the runs)\n"
@@ -108,7 +108,9 @@ void print_usage() {
       "cache subcommand (requires --cache-dir):\n"
       "  cache stats                 entry/byte/unreadable counts\n"
       "  cache gc                    evict corrupt or stale-version entries\n"
-      "  cache invalidate <protocol> evict one protocol's entries\n";
+      "  cache invalidate <protocol> evict one protocol's entries\n"
+      "exit status: 0 no violation (or inconclusive), 1 violation found,\n"
+      "  2 usage error, 3 the engine failed (error: ... on stderr)\n";
 }
 
 /// Replays a witness step by step, printing each operation and the
@@ -250,11 +252,8 @@ verify::JobSpec spec_from_cli(const util::Cli& cli) {
   spec.max_states = cli.get_uint("state-cap", 4'000'000);
 
   spec.threads = static_cast<std::uint32_t>(cli.get_uint("threads", 0));
-  // --threads > 0 without an explicit --engine keeps its historical
-  // meaning: the work-stealing parallel DFS.  --fuzz is the historical
-  // spelling of --engine fuzz.
-  std::string engine =
-      cli.get_string("engine", spec.threads > 0 ? "parallel" : "dfs");
+  // --fuzz is the historical spelling of --engine fuzz.
+  std::string engine = cli.get_string("engine", "dfs");
   if (cli.has("fuzz")) engine = "fuzz";
   spec.engine = verify::engine_from_string(engine);
   spec.spill_dir = cli.get_string("spill-dir", "");
@@ -275,7 +274,6 @@ verify::JobSpec spec_from_cli(const util::Cli& cli) {
   // Historical behavior: a complete, violation-free exhaustive run also
   // reports the machine-checked wait-freedom bound.
   spec.wait_free_bound = spec.engine == verify::Engine::kDfs ||
-                         spec.engine == verify::Engine::kParallel ||
                          spec.engine == verify::Engine::kFrontier;
   return spec;
 }
@@ -453,8 +451,7 @@ int main(int argc, char** argv) {
                                             : std::to_string(spec.t))
             << " n=" << spec.processes << " engine="
             << verify::to_string(spec.engine);
-  if (spec.engine == verify::Engine::kParallel ||
-      spec.engine == verify::Engine::kFrontier) {
+  if (spec.engine == verify::Engine::kFrontier) {
     std::cout << '('
               << (spec.threads > 0 ? std::to_string(spec.threads) + " threads"
                                    : std::string("hw threads"))
@@ -462,7 +459,15 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n\n";
 
-  const verify::RunOutcome outcome = verify::run(spec, cache ? &*cache : nullptr);
+  // An engine that throws (a step reading past the layout, say) is
+  // reported, not left to std::terminate.
+  verify::RunOutcome outcome;
+  try {
+    outcome = verify::run(spec, cache ? &*cache : nullptr);
+  } catch (const std::exception& err) {
+    std::cerr << "error: " << err.what() << '\n';
+    return 3;
+  }
   if (cache) {
     std::cout << "cache          : "
               << (outcome.cache_hit

@@ -41,13 +41,19 @@ B5 gates:
     thread trial reached consensus AND real crash/restart cycles ran.
 
 B6 gates:
-  * throughput.speedup >= 2.0 — the owner-computes frontier
-    explorer beats the work-stealing parallel DFS by at least 2x in
-    states/sec on the staged f=1 t=2 distinct-inputs instance (median
-    of paired per-round ratios, both engines at the same thread count;
-    the min and max ratio are printed beside it, not gated);
+  * throughput.speedup >= 0.65 — the owner-computes frontier explorer
+    on every hardware thread reaches at least 0.65x the states/sec of
+    the sequential DFS on one thread, on the staged f=1 t=2
+    distinct-inputs instance (median of paired per-round ratios; the min
+    and max ratio are printed beside it, not gated).  The bar is the
+    former one, 2.0x the states/sec of the deleted work-stealing
+    parallel DFS, translated onto the DFS: that engine ran at
+    r = 0.324x the DFS's states/sec (median of 30 paired rounds on a
+    4-vCPU host), and 2.0 x r = 0.647, rounded up.  It is an interim
+    floor: the frontier's exit bar, 2x the DFS, replaces it once the
+    frontier meets that;
   * throughput.census_match is true — the frontier census stayed
-    bit-equal to the parallel engine's on every round;
+    census_equal to the DFS's, the oracle, on every round;
   * throughput.complete is true — both engines covered the whole
     reachable space within limits on every round;
   * spill.spill_parity is true — the forced-spill run (one-byte
@@ -74,7 +80,7 @@ MIN_REDUCTION_FACTOR = 5.0
 MAX_IR_OVERHEAD = 0.02
 MAX_CRASH_GROWTH_B1 = 64.0
 MIN_IMMUNE_PRUNE_FACTOR = 1.0
-MIN_FRONTIER_SPEEDUP = 2.0
+MIN_FRONTIER_SPEEDUP = 0.65
 MIN_WARM_SPEEDUP = 100.0
 
 
@@ -200,8 +206,9 @@ def gate_b6(report):
     print(f"bench gate B6 ({mode}): {throughput['protocol']} — "
           f"{int(throughput['states'])} states in "
           f"{int(throughput['waves'])} waves, frontier "
-          f"{float(throughput['frontier_mean_seconds']):.3f} s vs parallel "
-          f"{float(throughput['parallel_mean_seconds']):.3f} s "
+          f"{float(throughput['frontier_mean_seconds']):.3f} s on "
+          f"{int(throughput['threads'])} threads vs dfs "
+          f"{float(throughput['dfs_mean_seconds']):.3f} s "
           f"({speedup:.2f}x median, min {speedup_min:.2f}x, max "
           f"{speedup_max:.2f}x over {int(throughput['reps'])} paired "
           f"rounds), census match: {census_ok}, complete: {complete}, "
@@ -211,12 +218,12 @@ def gate_b6(report):
 
     if speedup < MIN_FRONTIER_SPEEDUP:
         print(f"bench_gate: FAIL — frontier speedup {speedup:.2f} < "
-              f"{MIN_FRONTIER_SPEEDUP} over parallel_explore",
+              f"{MIN_FRONTIER_SPEEDUP} over the sequential DFS",
               file=sys.stderr)
         failed = True
     if not census_ok:
         print("bench_gate: FAIL — frontier census diverged from the "
-              "parallel engine", file=sys.stderr)
+              "sequential DFS", file=sys.stderr)
         failed = True
     if not complete:
         print("bench_gate: FAIL — a throughput round truncated its "

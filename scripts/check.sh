@@ -12,14 +12,12 @@
 #   3. default build  → the `tier2-fuzz` label (wall-clock-bounded smoke
 #      fuzz campaign per seed protocol);
 #   4. FF_SANITIZE=thread build → the multi-threaded suites (label `tsan`,
-#      i.e. the parallel-explorer and frontier-explorer differential
-#      harnesses — the frontier's workers share one lane arena
-#      (sched/lane_space.hpp) — a parallel worker's exception rethrown
-#      to the caller,
-#      and the real-thread stress suites, the
-#      crashed-and-restarted worker threads of the recoverable-consensus
-#      campaign included, and the census cache's concurrent same-key
-#      writers) under ThreadSanitizer;
+#      i.e. the frontier-explorer differential harness — the frontier's
+#      workers share one lane arena (sched/lane_space.hpp) — with a
+#      worker's exception rethrown to the caller, and the real-thread
+#      stress suites, the crashed-and-restarted worker threads of the
+#      recoverable-consensus campaign included, and the census cache's
+#      concurrent same-key writers) under ThreadSanitizer;
 #   5. FF_SANITIZE=address build → the memory-heavy fuzzer/explorer suites,
 #      the post-join cycle scan's CSR, peel and Tarjan indexing, the
 #      lane-space lockstep suite with the DFS Report pin, and the
@@ -46,8 +44,10 @@
 #      protocol's generated census matching the interpreter, the A2
 #      immunity pruning leaves the census bit-identical with a prune
 #      factor >= 1, the B5 crash growth/latency bounds hold, and the B6
-#      frontier engine is >= 2x parallel_explore in states/sec with a
-#      bit-equal census in memory and under forced spilling;
+#      frontier engine on every hardware thread reaches >= 0.65x the
+#      sequential DFS's states/sec (an interim floor, see
+#      scripts/bench_gate.py) with the DFS's census, and the same census
+#      under forced spilling;
 #  10. verify-cache (label `verify-cache`: the canonical job layer —
 #      JobSpec round-trips, strict validation, and the persistent
 #      census cache's hit/miss/soundness matrix), then

@@ -1,11 +1,11 @@
-// Nontermination scan shared by the two multi-threaded explorers
-// (parallel_explore, frontier_explore).
+// Nontermination scan of the multi-threaded frontier explorer
+// (frontier_explore).
 //
-// Neither engine has a root-to-state DFS path to find back-edges on, so
-// each records every explored transition between non-terminal states
-// and, once its workers join, hands the per-worker edge lists to
-// scan_cycles() and the result to add_nontermination().  A process-step
-// edge that lies on a cycle is a wait-freedom violation
+// A breadth-first wave has no root-to-state DFS path to find back-edges
+// on, so the engine records every explored transition between
+// non-terminal states and, once its workers join, hands the per-worker
+// edge lists to scan_cycles() and the result to add_nontermination().
+// A process-step edge that lies on a cycle is a wait-freedom violation
 // (kNontermination).
 //
 // The scan first PEELS the graph (Kahn): it removes every state whose
@@ -28,9 +28,9 @@
 
 namespace ff::sched {
 
-/// One explored transition, as both multi-threaded explorers record it.
+/// One explored transition, as the frontier explorer records it.
 /// Only non-terminal targets are recorded: a terminal state cannot sit
-/// on a cycle.  `from`/`to` are the engines' sharded state ids,
+/// on a cycle.  `from`/`to` are the engine's sharded state ids,
 /// (index << shard_bits) | shard.
 struct CycleEdge {
   static constexpr std::uint8_t kFault = 1;
@@ -60,7 +60,7 @@ struct CycleEdge {
   }
   [[nodiscard]] bool process_step() const { return pid != kAdversaryPid; }
 };
-// Both engines count sizeof(CycleEdge) into their peak-bytes census.
+// The engine counts sizeof(CycleEdge) into its peak-bytes census.
 static_assert(sizeof(CycleEdge) == 20);
 
 struct CycleScanResult {

@@ -1,15 +1,15 @@
-// Internals shared by the sequential (explorer.cpp) and parallel
-// (parallel_explorer.cpp) state-space explorers: the 128-bit state
+// Internals shared by the sequential (explorer.cpp) and frontier
+// (frontier_explorer.cpp) state-space explorers: the 128-bit state
 // fingerprint and the terminal-state property check.
 //
 // Both explorers memoize on fingerprints rather than full encoded states.
-// The soundness argument (see DESIGN.md §"Parallel exploration"): two
-// distinct states collide with probability ~ |states|² / 2^128, so a
-// completed exploration is a proof up to that negligible error, and —
-// crucially — the argument is unchanged by sharding, because a sharded
-// table partitions fingerprints by bits of the SAME 128-bit digest;
-// sharding changes where a fingerprint is stored, never whether two
-// distinct states are distinguished.
+// The soundness argument (DESIGN.md §3d): two distinct states collide
+// with probability ~ |states|² / 2^128, so a completed exploration is a
+// proof up to that negligible error, and — crucially — the argument is
+// unchanged by the frontier's sharding, because its shards partition
+// fingerprints by bits of the SAME 128-bit digest; sharding changes where
+// a fingerprint is stored, never whether two distinct states are
+// distinguished.
 #pragma once
 
 #include <algorithm>

@@ -31,13 +31,13 @@
 #include <atomic>
 #include <bit>
 #include <cassert>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -204,7 +204,7 @@ struct Ctx {
   std::vector<WorkerState>* wlocals = nullptr;
 
   // Checker-internal coordination state — the engine runs outside the
-  // traced object layer by construction, like parallel_explorer's.
+  // traced object layer by construction.
   // ff-lint: allow(R1): checker-internal state-census counter
   std::atomic<std::uint64_t> states{0};
   // ff-lint: allow(R1): wave-quiescence counter of the checker itself
@@ -224,6 +224,12 @@ struct Ctx {
 
   std::mutex violation_mu;
   std::optional<BestViolation> best;
+
+  /// The first exception a worker's step threw, rethrown by
+  /// frontier_explore on the calling thread after the join.  Guarded by
+  /// `error_mu`.
+  std::mutex error_mu;
+  std::exception_ptr error;
 
   [[nodiscard]] std::uint32_t shard_of(const Fingerprint& fp) const {
     return static_cast<std::uint32_t>(fp.a) & shard_mask;
@@ -328,9 +334,14 @@ void expand_item(Ctx& ctx, WorkerState& ws, std::uint32_t w,
     try {
       ctx.space->apply(state, choice, ws.child_item.data() + kHeaderWords,
                        ws.cache);
-    } catch (const std::out_of_range&) {
-      // An access outside the layout: SimWorld throws here, and a worker
-      // thread cannot, so the run ends incomplete instead.
+    } catch (...) {
+      // A step that throws (an access outside the layout, say) must not
+      // escape a worker thread: keep the first exception for the caller
+      // and end the run the way the state cap does.
+      {
+        std::lock_guard<std::mutex> g(ctx.error_mu);
+        if (!ctx.error) ctx.error = std::current_exception();
+      }
       ctx.aborted.store(true, std::memory_order_relaxed);
       return;
     }
@@ -669,7 +680,7 @@ void spill_shard(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx) {
 /// Replays the chain from the root, re-resolving each recorded choice's
 /// pid through its canonical slot (under symmetry a later walk may hold
 /// a different orbit representative than the discoverer did; the slot
-/// is orbit-invariant — same scheme as parallel_explore).
+/// is orbit-invariant).
 [[nodiscard]] std::vector<Choice> path_to(const Ctx& ctx,
                                           const Fingerprint& fp,
                                           SimWorld* world_out) {
@@ -902,6 +913,7 @@ FrontierExploreResult frontier_explore(const SimConfig& config,
     worker_main(ctx, 0);
     for (auto& t : threads) t.join();
   }
+  if (ctx.error) std::rethrow_exception(ctx.error);
 
   const bool aborted = ctx.aborted.load(std::memory_order_relaxed);
   result.states_visited = ctx.states.load(std::memory_order_relaxed);

@@ -1,8 +1,8 @@
 // Owner-computes frontier explorer (DESIGN.md §3i).
 //
 // A breadth-first wavefront engine over the same state graph the
-// sequential DFS (sched/explorer.hpp) and the work-stealing parallel DFS
-// (sched/parallel_explorer.hpp) explore, built around three ideas:
+// sequential DFS (sched/explorer.hpp) explores, and the repository's
+// only multi-threaded exhaustive engine, built around three ideas:
 //
 //   * OWNER-COMPUTES SHARDING.  The canonical-fingerprint space is
 //     hash-partitioned into shards, each owned by exactly one worker.  A
@@ -35,14 +35,13 @@
 // (states_visited, terminal_states, agreed_values, violation counts per
 // terminal kind) is BIT-EQUAL to the sequential explorer's on every
 // input, with symmetry reduction composing through the same
-// sched/reduce.hpp canonical fingerprints.  Differences by design,
-// mirroring parallel_explore:
+// sched/reduce.hpp canonical fingerprints.  Differences by design:
 //
 //   * kNontermination counts process edges inside cyclic SCCs of the
 //     explored graph, not DFS back-edges; compare presence, not counts.
 //     The count and its witness come from the post-join cycle scan
-//     shared with parallel_explore (sched/cycle_scan.hpp), which peels
-//     the recorded edge lists before it runs Tarjan on what is left.
+//     (sched/cycle_scan.hpp), which peels the recorded edge lists before
+//     it runs Tarjan on what is left.
 //   * max_depth is the BFS radius (longest SHORTEST path from the
 //     root), not the longest DFS path.
 //   * Which violation is reported first differs from DFS order; the
@@ -103,7 +102,11 @@ struct FrontierExploreResult {
 /// Explores the full state graph of `SimWorld(config, factory, inputs)`
 /// breadth-first.  The factory reference must outlive the call; every
 /// machine it makes is stepped through the StepMachine interface alone,
-/// so interpreted and generated factories take the same path.
+/// so interpreted and generated factories take the same path.  An
+/// exception a worker's step throws (std::out_of_range for an access
+/// outside the layout, say) stops every worker and is rethrown here, on
+/// the calling thread, after the join — the same exception explore()
+/// lets through.
 [[nodiscard]] FrontierExploreResult frontier_explore(
     const SimConfig& config, const MachineFactory& factory,
     const std::vector<std::uint64_t>& inputs,

@@ -1,6 +1,6 @@
 // State-space reduction: process-symmetry canonicalization, shared by the
-// sequential explorer, the parallel and frontier explorers, the BFS
-// witness minimizer and the fuzzer's novelty signal.  DESIGN.md §3d
+// sequential and frontier explorers, the BFS witness minimizer and the
+// fuzzer's novelty signal.  DESIGN.md §3d
 // carries the soundness argument; the short version:
 //
 //   When every machine is pid-oblivious (MachineFactory::pid_oblivious)

@@ -104,7 +104,8 @@ std::optional<Cache::Entry> Cache::parse_entry_file(
   } catch (const util::JsonParseError&) {
     return std::nullopt;
   } catch (const std::invalid_argument&) {
-    // e.g. an engine/kind name from a future schema — still just a miss.
+    // e.g. an engine/kind name this build does not know (a future
+    // schema's, or the deleted "parallel") — still just a miss.
     return std::nullopt;
   }
 }

@@ -69,13 +69,12 @@ std::string semantic_json(const JobSpec& canonical) {
 
 Engine engine_from_string(std::string_view name) {
   if (name == "dfs") return Engine::kDfs;
-  if (name == "parallel") return Engine::kParallel;
   if (name == "frontier") return Engine::kFrontier;
   if (name == "fuzz") return Engine::kFuzz;
   if (name == "stress") return Engine::kStress;
   throw std::invalid_argument(
       "unknown engine \"" + std::string(name) +
-      "\" (expected dfs | parallel | frontier | fuzz | stress)");
+      "\" (expected dfs | frontier | fuzz | stress)");
 }
 
 model::FaultKind fault_kind_from_string(std::string_view name) {
@@ -119,7 +118,7 @@ void JobSpec::validate() const {
       throw std::invalid_argument(
           "verify::JobSpec: the stress engine runs clean real-thread "
           "trials; fault kinds are simulator adversary branches (use the "
-          "dfs/parallel/frontier/fuzz engines)");
+          "dfs/frontier/fuzz engines)");
     }
     if (crash_budget != 0) {
       throw std::invalid_argument(

@@ -36,7 +36,6 @@ namespace ff::verify {
 
 enum class Engine : std::uint8_t {
   kDfs,       ///< sequential in-place DFS (sched/explorer.hpp)
-  kParallel,  ///< work-stealing parallel DFS (sched/parallel_explorer.hpp)
   kFrontier,  ///< batched owner-computes BFS (sched/frontier_explorer.hpp)
   kFuzz,      ///< coverage-guided schedule fuzzing (sched/fuzzer.hpp)
   kStress,    ///< real-thread trials (runtime/stress.hpp)
@@ -45,7 +44,6 @@ enum class Engine : std::uint8_t {
 [[nodiscard]] constexpr std::string_view to_string(Engine e) noexcept {
   switch (e) {
     case Engine::kDfs: return "dfs";
-    case Engine::kParallel: return "parallel";
     case Engine::kFrontier: return "frontier";
     case Engine::kFuzz: return "fuzz";
     case Engine::kStress: return "stress";
@@ -98,7 +96,7 @@ struct JobSpec {
   std::uint64_t trials = 100;
 
   // --- execution hints (serialized, NOT fingerprinted) ------------------
-  /// Worker threads for parallel/frontier (0 = hardware concurrency).
+  /// Frontier worker threads (0 = hardware concurrency).
   std::uint32_t threads = 0;
   std::uint32_t shard_count = 0;
   std::string spill_dir;

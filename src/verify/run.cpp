@@ -12,7 +12,6 @@
 #include "sched/explorer.hpp"
 #include "sched/frontier_explorer.hpp"
 #include "sched/fuzzer.hpp"
-#include "sched/parallel_explorer.hpp"
 
 namespace ff::verify {
 
@@ -57,11 +56,6 @@ Report execute_explore_family(const Instance& instance) {
         instance.config, *instance.factory, instance.inputs, options);
     fill_census(report, result.explore);
     report.frontier = result.stats;
-  } else if (spec.engine == Engine::kParallel) {
-    sched::ParallelExploreOptions options;
-    options.explore = explore_options(spec);
-    options.num_threads = spec.threads;
-    fill_census(report, sched::parallel_explore(instance.world(), options));
   } else {
     fill_census(report, sched::explore(instance.world(), explore_options(spec)));
   }

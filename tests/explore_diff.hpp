@@ -1,12 +1,13 @@
-// Shared differential-testing helper: runs the sequential and the
-// parallel explorer over the same SimWorld and asserts their results are
-// equivalent.
+// Shared differential-testing helpers: the protocol × fault-kind ×
+// (f, t) grid that the cross-engine suites (the frontier, reduction,
+// fuzzer and crash suites among them) walk with the sequential explorer
+// as the oracle, and a witness check that replays a reported violation.
 //
 // Quantities that are properties of the reachable state GRAPH must match
-// exactly: states_visited, terminal_states, per-terminal violation counts
-// (inconsistent / invalid / stalled), the agreed-value set, and
-// completeness.  kNontermination counts are traversal-defined in both
-// explorers (DFS back-edges vs. SCC-internal process edges), so only
+// the oracle exactly: states_visited, terminal_states, per-terminal
+// violation counts (inconsistent / invalid / stalled), the agreed-value
+// set, and completeness.  kNontermination counts are traversal-defined
+// (DFS back-edges vs. SCC-internal process edges), so only
 // presence/absence is compared.  Witnesses are validated semantically by
 // replaying them — see expect_witness_reproduces().
 #pragma once
@@ -21,7 +22,6 @@
 
 #include "legacy/machines.hpp"
 #include "sched/explorer.hpp"
-#include "sched/parallel_explorer.hpp"
 #include "sched/sim_world.hpp"
 
 namespace ff::testutil {
@@ -43,14 +43,18 @@ struct GridCase {
   bool corruption_steps = false;
 };
 
-[[nodiscard]] inline sched::SimWorld make_world(const GridCase& gc) {
+[[nodiscard]] inline sched::SimConfig grid_config(const GridCase& gc) {
   sched::SimConfig config;
   config.num_objects = gc.factory->objects_used();
   config.num_registers = gc.factory->registers_used();
   config.kind = gc.kind;
   config.t = gc.t;
   config.allow_corruption_steps = gc.corruption_steps;
-  return sched::SimWorld(config, *gc.factory, iota_inputs(gc.n));
+  return config;
+}
+
+[[nodiscard]] inline sched::SimWorld make_world(const GridCase& gc) {
+  return sched::SimWorld(grid_config(gc), *gc.factory, iota_inputs(gc.n));
 }
 
 [[nodiscard]] inline sched::ExploreOptions full_space_options(
@@ -213,39 +217,6 @@ inline void expect_witness_reproduces(const sched::SimWorld& initial,
       break;
     case sched::ViolationKind::kNontermination:
       break;  // handled above
-  }
-}
-
-/// Full-space differential check: the parallel run must agree with the
-/// sequential oracle on every graph-derived quantity, and its witness (if
-/// any) must replay to a real violation.
-inline void expect_parallel_matches_sequential(
-    const GridCase& gc, const sched::ParallelExploreOptions& popts) {
-  const sched::SimWorld world = make_world(gc);
-  const std::string label =
-      gc.name + " threads=" + std::to_string(popts.num_threads);
-
-  const auto seq = sched::explore(world, popts.explore);
-  const auto par = sched::parallel_explore(world, popts);
-
-  EXPECT_TRUE(seq.complete) << label;
-  EXPECT_TRUE(par.complete) << label;
-  EXPECT_EQ(seq.states_visited, par.states_visited) << label;
-  EXPECT_EQ(seq.terminal_states, par.terminal_states) << label;
-  EXPECT_EQ(seq.agreed_values, par.agreed_values) << label;
-  using sched::ViolationKind;
-  for (const ViolationKind kind :
-       {ViolationKind::kInconsistent, ViolationKind::kInvalid,
-        ViolationKind::kStalled}) {
-    EXPECT_EQ(seq.violations_of(kind), par.violations_of(kind))
-        << label << " kind=" << sched::to_string(kind);
-  }
-  EXPECT_EQ(seq.violations_of(ViolationKind::kNontermination) > 0,
-            par.violations_of(ViolationKind::kNontermination) > 0)
-      << label;
-  EXPECT_EQ(seq.violation.has_value(), par.violation.has_value()) << label;
-  if (par.violation) {
-    expect_witness_reproduces(world, *par.violation, label);
   }
 }
 

@@ -10,8 +10,7 @@
 //   * for every registry protocol × fault budget × crash budget grid
 //     point, the full census (states, violations, witnesses, agreed
 //     values) from the generated machine equals the interpreter's, under
-//     the sequential, the parallel AND the frontier explorer, reductions
-//     on and off;
+//     the sequential AND the frontier explorer, reductions on and off;
 //   * a step-level lockstep property test replays 10k+ seeded random
 //     schedules simultaneously on generated machines and on IrMachine
 //     oracles, asserting equal encoded states after every single step
@@ -40,7 +39,6 @@
 #include "sched/explore_common.hpp"
 #include "sched/explorer.hpp"
 #include "sched/frontier_explorer.hpp"
-#include "sched/parallel_explorer.hpp"
 #include "sched/sim_world.hpp"
 #include "util/rng.hpp"
 
@@ -219,42 +217,7 @@ TEST(Codegen, FullCensusMatchesOracleSequential) {
 }
 
 // ---------------------------------------------------------------------------
-// 2. Full-census equality under the parallel explorer.
-// ---------------------------------------------------------------------------
-
-TEST(Codegen, FullCensusMatchesOracleParallel) {
-  for (const CodegenCase& cc : codegen_grid()) {
-    if (cc.crash_budget > 1) continue;  // keep the parallel pass lean
-    SCOPED_TRACE(cc.label);
-    const auto generated = proto::machine_factory(cc.protocol, cc.params);
-    const auto oracle =
-        proto::machine_factory_interpreted(cc.protocol, cc.params);
-    const SimWorld gen_world = make_world(*generated, cc);
-    const SimWorld oracle_world = make_world(*oracle, cc);
-    for (const bool reduce : {true, false}) {
-      sched::ParallelExploreOptions options;
-      options.explore.stop_at_first_violation = false;
-      options.explore.symmetry_reduction = reduce;
-      options.num_threads = 4;
-      const auto oracle_result = sched::parallel_explore(oracle_world, options);
-      const auto gen_result = sched::parallel_explore(gen_world, options);
-      const std::string label =
-          cc.label + (reduce ? "/par-reduced" : "/par-unreduced");
-      EXPECT_EQ(oracle_result.states_visited, gen_result.states_visited)
-          << label;
-      EXPECT_EQ(oracle_result.terminal_states, gen_result.terminal_states)
-          << label;
-      EXPECT_EQ(oracle_result.violations_by_kind, gen_result.violations_by_kind)
-          << label;
-      EXPECT_EQ(oracle_result.complete, gen_result.complete) << label;
-      EXPECT_EQ(oracle_result.agreed_values, gen_result.agreed_values)
-          << label;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// 3. Full-census equality under the frontier explorer.  Its lane arena
+// 2. Full-census equality under the frontier explorer.  Its lane arena
 //    steps whatever machines the factory makes, so the oracle side runs
 //    IrMachines end to end.
 // ---------------------------------------------------------------------------
@@ -284,7 +247,7 @@ TEST(Codegen, FullCensusMatchesOracleFrontier) {
 }
 
 // ---------------------------------------------------------------------------
-// 4. Step-level lockstep: 10k+ seeded random schedules on generated
+// 3. Step-level lockstep: 10k+ seeded random schedules on generated
 //    machines vs. IrMachine oracles, equal encodes every step.
 // ---------------------------------------------------------------------------
 
@@ -430,7 +393,7 @@ TEST(Codegen, CrashLockstepOnRecoverableProtocols) {
 }
 
 // ---------------------------------------------------------------------------
-// 5. Witness strict replay: shrunk witnesses found on the interpreter
+// 4. Witness strict replay: shrunk witnesses found on the interpreter
 //    replay on the generated path with per-step world-encoding equality.
 // ---------------------------------------------------------------------------
 
@@ -483,7 +446,7 @@ TEST(Codegen, ShrunkWitnessesStrictReplayOnGeneratedPath) {
 }
 
 // ---------------------------------------------------------------------------
-// 6. Pre-sizing regression: table_grows pins the rehash count.
+// 5. Pre-sizing regression: table_grows pins the rehash count.
 // ---------------------------------------------------------------------------
 
 /// Replays FlatFpMap's sizing rule: initial capacity from the hint

@@ -7,7 +7,7 @@
 //      non-recoverable original program for the recoverable variants
 //      (identical semantics when crashes cannot happen).
 //   2. The crash-branch census is identical across the sequential,
-//      parallel and symmetry-reduced explorers (symmetry preserves every
+//      frontier and symmetry-reduced explorers (symmetry preserves every
 //      orbit-invariant property).
 //   3. Crash witnesses strictly replay and shrink to 1-minimal
 //      schedules via shrink_witness — and the minimal recoverable-cas
@@ -29,6 +29,7 @@
 #include "proto/machine.hpp"
 #include "proto/programs.hpp"
 #include "proto/registry.hpp"
+#include "sched/frontier_explorer.hpp"
 #include "sched/fuzzer.hpp"
 
 namespace ff {
@@ -38,17 +39,24 @@ using sched::Choice;
 using sched::ExploreOptions;
 using sched::ViolationKind;
 
-sched::SimWorld make_crash_world(const sched::MachineFactory& factory,
-                                 model::FaultKind kind, std::uint32_t t,
-                                 std::uint32_t n,
-                                 std::uint32_t crash_budget) {
+sched::SimConfig crash_config(const sched::MachineFactory& factory,
+                              model::FaultKind kind, std::uint32_t t,
+                              std::uint32_t crash_budget) {
   sched::SimConfig config;
   config.num_objects = factory.objects_used();
   config.num_registers = factory.registers_used();
   config.kind = kind;
   config.t = kind == model::FaultKind::kNone ? 0 : t;
   config.crash_budget = crash_budget;
-  return sched::SimWorld(config, factory, testutil::iota_inputs(n));
+  return config;
+}
+
+sched::SimWorld make_crash_world(const sched::MachineFactory& factory,
+                                 model::FaultKind kind, std::uint32_t t,
+                                 std::uint32_t n,
+                                 std::uint32_t crash_budget) {
+  return sched::SimWorld(crash_config(factory, kind, t, crash_budget),
+                         factory, testutil::iota_inputs(n));
 }
 
 void expect_same_census(const sched::ExploreResult& a,
@@ -176,17 +184,21 @@ TEST(CrashCensus, IdenticalAcrossSequentialParallelAndReducedExplorers) {
             << label << " kind=" << sched::to_string(kind);
       }
 
-      // The parallel explorer must agree with its sequential twin on
+      // The frontier explorer must agree with its sequential twin on
       // every graph-derived quantity, reductions on and off.
       for (const ExploreOptions& options : {unreduced, reduced}) {
-        sched::ParallelExploreOptions popts;
-        popts.explore = options;
-        popts.num_threads = 4;
+        sched::FrontierExploreOptions fopts;
+        fopts.explore = options;
+        fopts.num_threads = 4;
         const auto seq = sched::explore(world, options);
-        const auto par = sched::parallel_explore(world, popts);
-        expect_same_census(seq, par, label + " [parallel]");
-        if (par.violation) {
-          testutil::expect_witness_reproduces(world, *par.violation, label);
+        const auto fr =
+            sched::frontier_explore(
+                crash_config(*factory, gc.kind, gc.t, gc.budget), *factory,
+                testutil::iota_inputs(2), fopts)
+                .explore;
+        expect_same_census(seq, fr, label + " [frontier]");
+        if (fr.violation) {
+          testutil::expect_witness_reproduces(world, *fr.violation, label);
         }
       }
     }

@@ -1,7 +1,7 @@
-// The nontermination scan shared by parallel_explore and frontier_explore
-// (sched/cycle_scan.hpp): hand-built graphs, a brute-force reachability
-// oracle over random small graphs, and a pin of the engines' results on
-// jobs with and without process cycles.
+// The frontier explorer's nontermination scan (sched/cycle_scan.hpp):
+// hand-built graphs, a brute-force reachability oracle over random small
+// graphs, and a pin of the engine's results on jobs with and without
+// process cycles.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,7 +20,7 @@ namespace ff::sched {
 namespace {
 
 // ---------------------------------------------------------------------
-// Graph builder.  Node v gets the sharded id the engines would give it
+// Graph builder.  Node v gets the sharded id the engine would give it
 // with 2^shard_bits shards: shard v % S, index v / S.
 // ---------------------------------------------------------------------
 
@@ -267,13 +267,13 @@ TEST(CycleScan, RandomGraphsMatchReachabilityOracle) {
 }
 
 // ---------------------------------------------------------------------
-// Engine pin.  The nontermination count and witness of frontier and
-// parallel runs on one thread, hashed (FNV-1a 64) over
-// violations_by_kind, violations_found and the witness schedule.  The
-// constants were recorded before the two engines shared this scan; a
-// change to the scan that moves a count or the chosen witness must
-// update them AND bump verify::Cache::kFormatVersion.  One thread only:
-// on several the frontier's witness already varies from run to run.
+// Engine pin.  The nontermination count and witness of frontier runs on
+// one thread, hashed (FNV-1a 64) over violations_by_kind,
+// violations_found and the witness schedule.  The constants were recorded
+// before the engine moved onto this scan; a change to the scan that
+// moves a count or the chosen witness must update them AND bump
+// verify::Cache::kFormatVersion.  One thread only: on several the
+// frontier's witness already varies from run to run.
 // ---------------------------------------------------------------------
 
 std::uint64_t fnv1a64(std::string_view bytes) {
@@ -303,7 +303,6 @@ struct PinnedJob {
   std::uint64_t states;
   std::uint64_t cyclic_process_edges;
   std::uint64_t hash_frontier;
-  std::uint64_t hash_parallel;
 };
 
 std::vector<PinnedJob> pinned_jobs() {
@@ -321,38 +320,32 @@ std::vector<PinnedJob> pinned_jobs() {
   return {
       {"retry-silent silent t=inf n=2",
        job("retry-silent", model::FaultKind::kSilent, 2), 16, 8,
-       0x42630d35b3ce4bbfULL, 0x42630d35b3ce4bbfULL},
+       0x42630d35b3ce4bbfULL},
       {"retry-silent silent t=inf n=3",
        job("retry-silent", model::FaultKind::kSilent, 3), 62, 24,
-       0xd91581d975d1440fULL, 0xd91581d975d1440fULL},
+       0xd91581d975d1440fULL},
       {"single-cas data t=inf n=3",
        job("single-cas", model::FaultKind::kDataCorruption, 3), 130, 0,
-       0xa0b58fe857d410f7ULL, 0x056c669cde894fa8ULL},
+       0xa0b58fe857d410f7ULL},
       {"staged data t=inf n=2",
        job("staged", model::FaultKind::kDataCorruption, 2), 11'617, 4'728,
-       0xf6a4e9575e589472ULL, 0xda8a0d14205c8883ULL},
+       0xf6a4e9575e589472ULL},
   };
 }
 
 TEST(CycleScanPin, EngineNonterminationAsRecorded) {
   for (const PinnedJob& pin : pinned_jobs()) {
-    for (const verify::Engine engine :
-         {verify::Engine::kFrontier, verify::Engine::kParallel}) {
-      verify::JobSpec spec = pin.spec;
-      spec.engine = engine;
-      const verify::Report report = verify::execute(verify::instantiate(spec));
-      const std::string label =
-          pin.name + " " + std::string(verify::to_string(engine));
-      ASSERT_TRUE(report.complete) << label;
-      EXPECT_EQ(report.states_visited, pin.states) << label;
-      EXPECT_EQ(report.violations_of(ViolationKind::kNontermination),
-                pin.cyclic_process_edges)
-          << label;
-      const std::uint64_t got = fnv1a64(nontermination_digest(report));
-      EXPECT_EQ(got, engine == verify::Engine::kFrontier ? pin.hash_frontier
-                                                         : pin.hash_parallel)
-          << label << ": got 0x" << std::hex << got;
-    }
+    verify::JobSpec spec = pin.spec;
+    spec.engine = verify::Engine::kFrontier;
+    const verify::Report report = verify::execute(verify::instantiate(spec));
+    ASSERT_TRUE(report.complete) << pin.name;
+    EXPECT_EQ(report.states_visited, pin.states) << pin.name;
+    EXPECT_EQ(report.violations_of(ViolationKind::kNontermination),
+              pin.cyclic_process_edges)
+        << pin.name;
+    const std::uint64_t got = fnv1a64(nontermination_digest(report));
+    EXPECT_EQ(got, pin.hash_frontier)
+        << pin.name << ": got 0x" << std::hex << got;
   }
 }
 

@@ -10,7 +10,7 @@
 //   * the A2 pruning differential — for every simulable registry
 //     protocol × fault kind × crash budget, the census with
 //     proved-immune overriding branches skipped must be bit-identical
-//     to the brute-force census, under the sequential AND the parallel
+//     to the brute-force census, under the sequential AND the frontier
 //     explorer.  A proved immunity must also actually FIRE (tas);
 //   * report shape — the --json rendering is deterministic and carries
 //     the per-analysis verdicts and certificates tools consume.
@@ -30,7 +30,7 @@
 #include "proto/registry.hpp"
 #include "sched/explorer.hpp"
 #include "sched/facts.hpp"
-#include "sched/parallel_explorer.hpp"
+#include "sched/frontier_explorer.hpp"
 #include "sched/sim_world.hpp"
 #include "util/json.hpp"
 
@@ -391,7 +391,7 @@ struct Census {
 
 Census run_census(const sched::MachineFactory& factory,
                   model::FaultKind kind, std::uint32_t crash_budget,
-                  bool pruning, bool parallel) {
+                  bool pruning, bool frontier) {
   SimConfig config;
   config.num_objects = factory.objects_used();
   config.num_registers = factory.registers_used();
@@ -399,19 +399,18 @@ Census run_census(const sched::MachineFactory& factory,
   config.t = 1;
   config.crash_budget = crash_budget;
   config.use_immunity_pruning = pruning;
-  const SimWorld world(config, factory, {1, 2});
   // Census comparison needs the FULL state space — several grid points
   // do violate (that is the paper's point), so never stop at the first.
   sched::ExploreOptions opts;
   opts.stop_at_first_violation = false;
   sched::ExploreResult result;
-  if (parallel) {
-    sched::ParallelExploreOptions options;
+  if (frontier) {
+    sched::FrontierExploreOptions options;
     options.explore = opts;
     options.num_threads = 2;
-    result = sched::parallel_explore(world, options);
+    result = sched::frontier_explore(config, factory, {1, 2}, options).explore;
   } else {
-    result = sched::explore(world, opts);
+    result = sched::explore(SimWorld(config, factory, {1, 2}), opts);
   }
   EXPECT_TRUE(result.complete);
   return Census{result.states_visited, result.terminal_states,
@@ -431,14 +430,14 @@ TEST(FfcheckPruning, CensusIsIdenticalWithAndWithoutPruning) {
       for (const std::uint32_t crash_budget :
            recoverable ? std::vector<std::uint32_t>{0, 1}
                        : std::vector<std::uint32_t>{0}) {
-        for (const bool parallel : {false, true}) {
+        for (const bool frontier : {false, true}) {
           const Census pruned =
-              run_census(*factory, kind, crash_budget, true, parallel);
+              run_census(*factory, kind, crash_budget, true, frontier);
           const Census brute =
-              run_census(*factory, kind, crash_budget, false, parallel);
+              run_census(*factory, kind, crash_budget, false, frontier);
           EXPECT_TRUE(pruned == brute)
               << info.name << " kind=" << static_cast<int>(kind)
-              << " crash=" << crash_budget << " parallel=" << parallel;
+              << " crash=" << crash_budget << " frontier=" << frontier;
           // Brute force never consults the immune mask.
           EXPECT_EQ(brute.skips, 0u) << info.name;
           // Pruning is only ever consulted under kOverriding.

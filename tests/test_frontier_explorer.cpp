@@ -5,12 +5,19 @@
 // simulable-registry × fault-kind × crash-budget grid (generated
 // machines) — with symmetry reduction on and off, under forced
 // spilling, and at any shard count.  Witnesses must strictly replay,
-// including witnesses reconstructed out of spilled runs.
+// including witnesses reconstructed out of spilled runs.  Also covers
+// ExploreOptions::max_states truncation for both explorers (a capped run
+// must be incomplete and must not fabricate a violation on a correct
+// configuration), and a worker's exception, which must reach the caller
+// instead of terminating the process.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <memory>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "explore_diff.hpp"
 #include "legacy/machines.hpp"
@@ -32,6 +39,7 @@ using sched::ViolationKind;
 using testutil::differential_grid;
 using testutil::expect_witness_reproduces;
 using testutil::full_space_options;
+using testutil::grid_config;
 using testutil::GridCase;
 using testutil::iota_inputs;
 
@@ -126,13 +134,7 @@ void expect_frontier_matches_sequential(const sched::SimConfig& config,
 
 TEST(FrontierDifferential, LegacyGridTwoThreads) {
   for (const GridCase& gc : differential_grid()) {
-    sched::SimConfig config;
-    config.num_objects = gc.factory->objects_used();
-    config.num_registers = gc.factory->registers_used();
-    config.kind = gc.kind;
-    config.t = gc.t;
-    config.allow_corruption_steps = gc.corruption_steps;
-    expect_frontier_matches_sequential(config, *gc.factory,
+    expect_frontier_matches_sequential(grid_config(gc), *gc.factory,
                                        iota_inputs(gc.n),
                                        fopts(full_space_options(gc), 2),
                                        gc.name + " threads=2");
@@ -145,15 +147,33 @@ TEST(FrontierDifferential, LegacyGridSymmetryOff) {
     if (i++ % 3 != 0) continue;  // every third cell keeps runtime bounded
     ExploreOptions opts = full_space_options(gc);
     opts.symmetry_reduction = false;
-    sched::SimConfig config;
-    config.num_objects = gc.factory->objects_used();
-    config.num_registers = gc.factory->registers_used();
-    config.kind = gc.kind;
-    config.t = gc.t;
-    config.allow_corruption_steps = gc.corruption_steps;
-    expect_frontier_matches_sequential(config, *gc.factory,
+    expect_frontier_matches_sequential(grid_config(gc), *gc.factory,
                                        iota_inputs(gc.n), fopts(opts, 4),
                                        gc.name + " sym=off");
+  }
+}
+
+TEST(FrontierDifferential, DefaultOptionsStopAtFirstAgreesOnVerdict) {
+  // stop_at_first_violation = true (the default): which violation is
+  // reported first is traversal-dependent, but whether ANY violation
+  // exists is a property of the graph and must agree.
+  std::size_t i = 0;
+  for (const GridCase& gc : differential_grid()) {
+    if (i++ % 2 != 0) continue;
+    const sched::SimWorld world = testutil::make_world(gc);
+    ExploreOptions opts;  // defaults: stop at first violation
+    opts.killed_is_violation = gc.kind == FaultKind::kNonresponsive;
+
+    const ExploreResult seq = sched::explore(world, opts);
+    const FrontierExploreResult fr = frontier_explore(
+        grid_config(gc), *gc.factory, iota_inputs(gc.n), fopts(opts, 2));
+
+    EXPECT_EQ(seq.violation.has_value(), fr.explore.violation.has_value())
+        << gc.name;
+    EXPECT_EQ(seq.complete, fr.explore.complete) << gc.name;
+    if (fr.explore.violation) {
+      expect_witness_reproduces(world, *fr.explore.violation, gc.name);
+    }
   }
 }
 
@@ -225,12 +245,7 @@ TEST(FrontierSpill, ForcedSpillCensusParity) {
   std::size_t i = 0;
   for (const GridCase& gc : differential_grid()) {
     if (i++ % 4 != 0) continue;
-    sched::SimConfig config;
-    config.num_objects = gc.factory->objects_used();
-    config.num_registers = gc.factory->registers_used();
-    config.kind = gc.kind;
-    config.t = gc.t;
-    config.allow_corruption_steps = gc.corruption_steps;
+    const sched::SimConfig config = grid_config(gc);
     const FrontierExploreOptions options = spill_opts(
         fopts(full_space_options(gc), 2), "ff_spill_" + std::to_string(i));
     const FrontierExploreResult spilled =
@@ -349,6 +364,125 @@ TEST(FrontierExplorer, TerminalInitialState) {
   EXPECT_EQ(seq.terminal_states, fr.explore.terminal_states);
   EXPECT_EQ(seq.complete, fr.explore.complete);
   EXPECT_EQ(fr.stats.waves, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// ExploreOptions::max_states truncation.
+// ---------------------------------------------------------------------------
+
+// staged f=2, t=2, n=3 is a known-correct configuration whose state space
+// far exceeds the caps used here: a truncated run must come back
+// incomplete and must NOT fabricate a violation.
+sched::SimWorld big_correct_world() {
+  static const consensus::StagedFactory factory(2, 2);
+  sched::SimConfig config;
+  config.num_objects = 2;
+  config.kind = FaultKind::kOverriding;
+  config.t = 2;
+  return sched::SimWorld(config, factory, iota_inputs(3));
+}
+
+TEST(MaxStatesTruncation, SequentialCapIsIncompleteAndFabricatesNothing) {
+  sched::ExploreOptions options;
+  options.stop_at_first_violation = false;
+  options.max_states = 500;
+  const auto result = sched::explore(big_correct_world(), options);
+  EXPECT_FALSE(result.complete);
+  EXPECT_FALSE(result.violation.has_value());
+  EXPECT_EQ(result.violations_found, 0u);
+  EXPECT_LE(result.states_visited, options.max_states + 1);
+}
+
+TEST(MaxStatesTruncation, UncappedMediumWorldIsCompleteAndAgrees) {
+  // staged f=2, t=2 at n=2: the same protocol family as the capped runs
+  // above, but small enough (~380k states) to explore exhaustively.
+  static const consensus::StagedFactory factory(2, 2);
+  sched::SimConfig config;
+  config.num_objects = 2;
+  config.kind = FaultKind::kOverriding;
+  config.t = 2;
+  const sched::SimWorld world(config, factory, iota_inputs(2));
+  ExploreOptions options;
+  options.stop_at_first_violation = false;
+  const ExploreResult seq = sched::explore(world, options);
+  const FrontierExploreResult fr =
+      frontier_explore(config, factory, iota_inputs(2), fopts(options, 2));
+  ASSERT_TRUE(seq.complete);
+  ASSERT_TRUE(fr.explore.complete);
+  EXPECT_EQ(seq.states_visited, fr.explore.states_visited);
+  EXPECT_EQ(seq.terminal_states, fr.explore.terminal_states);
+  EXPECT_EQ(seq.violations_found, 0u);
+  EXPECT_EQ(fr.explore.violations_found, 0u);
+  EXPECT_EQ(seq.agreed_values, fr.explore.agreed_values);
+}
+
+// ---------------------------------------------------------------------------
+// A step that throws inside a worker.
+// ---------------------------------------------------------------------------
+
+/// Retries one CAS and throws on its kThrowAt-th delivery — a stand-in
+/// for any step that fails while a worker expands it (an out-of-range
+/// register read, say).  Built from the public StepMachine API alone,
+/// like test_mutation's mutants.
+class ThrowingMachine final : public sched::StepMachine {
+ public:
+  static constexpr std::uint32_t kThrowAt = 3;
+
+  explicit ThrowingMachine(std::uint64_t input) : input_(input) {}
+
+  [[nodiscard]] sched::PendingOp next_op() const override {
+    return sched::PendingOp::cas(0, model::Value::bottom(),
+                                 model::Value::of(input_));
+  }
+  void deliver(model::Value) override {
+    if (++deliveries_ == kThrowAt) {
+      throw std::runtime_error("ThrowingMachine: delivery " +
+                               std::to_string(kThrowAt));
+    }
+  }
+  [[nodiscard]] bool done() const override { return false; }
+  [[nodiscard]] std::uint64_t decision() const override { return input_; }
+  void encode(std::vector<std::uint64_t>& out) const override {
+    out.push_back(deliveries_);
+    out.push_back(input_);
+  }
+  [[nodiscard]] std::unique_ptr<sched::StepMachine> clone() const override {
+    return std::make_unique<ThrowingMachine>(*this);
+  }
+
+ private:
+  std::uint64_t input_;
+  std::uint32_t deliveries_ = 0;
+};
+
+class ThrowingFactory final : public sched::MachineFactory {
+ public:
+  [[nodiscard]] std::unique_ptr<sched::StepMachine> make(
+      objects::ProcessId, std::uint64_t input) const override {
+    return std::make_unique<ThrowingMachine>(input);
+  }
+  [[nodiscard]] std::uint32_t objects_used() const override { return 1; }
+  [[nodiscard]] std::string name() const override { return "throwing"; }
+};
+
+TEST(FrontierExplorer, WorkerExceptionIsRethrownToTheCaller) {
+  const ThrowingFactory factory;
+  sched::SimConfig config;
+  config.num_objects = 1;
+  config.kind = FaultKind::kNone;
+  ExploreOptions options;
+  options.stop_at_first_violation = false;
+  // The sequential explorer lets the step's exception through; the
+  // frontier must do the same from any worker, not std::terminate.
+  const sched::SimWorld world(config, factory, iota_inputs(2));
+  EXPECT_THROW(static_cast<void>(sched::explore(world, options)),
+               std::runtime_error);
+  for (const std::uint32_t threads : {1u, 4u}) {
+    EXPECT_THROW(static_cast<void>(frontier_explore(
+                     config, factory, iota_inputs(2), fopts(options, threads))),
+                 std::runtime_error)
+        << threads;
+  }
 }
 
 }  // namespace

@@ -7,9 +7,8 @@
 //     crash-before — the two choices that do not read the addressed word
 //     (no fault branches, no crash-after);
 //   * performing the access throws std::out_of_range, in SimWorld and in
-//     LaneSpace alike, so explore(), parallel_explore() and fuzz() throw;
-//   * the frontier, whose workers cannot throw, ends the run incomplete
-//     with no violation.
+//     LaneSpace alike, so explore(), frontier_explore() and fuzz() throw
+//     (the frontier rethrows its worker's exception after the join).
 //
 // The machines below issue the bad access from their first step, a CAS
 // on object 7 of 1 and a register write to register 5 of 1, and can crash
@@ -18,6 +17,7 @@
 // ASan (scripts/check.sh stage 5), which reports that read.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -27,7 +27,6 @@
 #include "sched/frontier_explorer.hpp"
 #include "sched/fuzzer.hpp"
 #include "sched/lane_space.hpp"
-#include "sched/parallel_explorer.hpp"
 
 namespace ff::sched {
 namespace {
@@ -152,9 +151,11 @@ TEST(OutOfRange, SearchingEnginesThrow) {
     const SimWorld world(config_of(c), factory, kInputs);
     EXPECT_THROW((void)explore(world), std::out_of_range) << c.name;
     for (const std::uint32_t threads : {1u, 2u}) {
-      ParallelExploreOptions options;
+      FrontierExploreOptions options;
       options.num_threads = threads;
-      EXPECT_THROW((void)parallel_explore(world, options), std::out_of_range)
+      EXPECT_THROW(
+          (void)frontier_explore(config_of(c), factory, kInputs, options),
+          std::out_of_range)
           << c.name << " threads=" << threads;
     }
     FuzzOptions options;
@@ -163,19 +164,41 @@ TEST(OutOfRange, SearchingEnginesThrow) {
   }
 }
 
+// The frontier's run ends incomplete and without a violation: no Report
+// comes back at all, only the worker's std::out_of_range, rethrown after
+// every worker has stopped.  This holds on both admission paths (direct
+// census and spilled candidates) and when other workers own the root's
+// shard.
 TEST(OutOfRange, FrontierEndsIncompleteWithoutAViolation) {
+  const std::filesystem::path spill_dir =
+      std::filesystem::path(::testing::TempDir()) / "ff_out_of_range_spill";
   for (const Case& c : cases()) {
     const OutOfRangeFactory factory(c.type);
-    for (const std::uint32_t threads : {1u, 2u}) {
-      FrontierExploreOptions options;
-      options.num_threads = threads;
-      const FrontierExploreResult result =
-          frontier_explore(config_of(c), factory, kInputs, options);
-      EXPECT_FALSE(result.explore.complete) << c.name;
-      EXPECT_FALSE(result.explore.violation.has_value()) << c.name;
-      EXPECT_EQ(result.explore.violations_found, 0u) << c.name;
+    for (const std::uint32_t threads : {1u, 2u, 4u}) {
+      for (const bool spill : {false, true}) {
+        FrontierExploreOptions options;
+        options.num_threads = threads;
+        options.shard_count = 16;
+        if (spill) {
+          options.spill_dir = spill_dir.string();
+          options.mem_limit_bytes = 1;  // spill after every wave
+        }
+        const std::string label = c.name + " threads=" +
+                                  std::to_string(threads) +
+                                  (spill ? " spill" : "");
+        try {
+          const FrontierExploreResult result =
+              frontier_explore(config_of(c), factory, kInputs, options);
+          ADD_FAILURE() << label << ": returned a Report (complete="
+                        << result.explore.complete << ", violations="
+                        << result.explore.violations_found << ")";
+        } catch (const std::out_of_range&) {
+        }
+      }
     }
   }
+  std::error_code ec;
+  std::filesystem::remove_all(spill_dir, ec);
 }
 
 }  // namespace

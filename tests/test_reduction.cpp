@@ -1,5 +1,6 @@
-// Soundness tests for process-symmetry reduction (sched/reduce.hpp),
-// across both DFS explorers.
+// Soundness tests for process-symmetry reduction (sched/reduce.hpp) in
+// the sequential explorer; the frontier engine's reduced census is held
+// to the same oracle by test_frontier_explorer.cpp.
 //
 // The contracts under test (DESIGN.md §3d):
 //   * Symmetry reduction visits one representative per orbit: the census
@@ -22,7 +23,6 @@
 #include "sched/explore_common.hpp"
 #include "sched/explorer.hpp"
 #include "sched/fuzzer.hpp"
-#include "sched/parallel_explorer.hpp"
 #include "sched/reduce.hpp"
 #include "sched/sim_world.hpp"
 
@@ -64,39 +64,6 @@ TEST(ReductionSoundness, SymmetryPreservesOrbitInvariants) {
     }
     if (reduced.violation) {
       expect_witness_reproduces(world, *reduced.violation, label);
-    }
-  }
-}
-
-// --- Full-grid differential census: parallel explorer ---------------------
-
-TEST(ReductionSoundness, ParallelReducedMatchesSequentialReduced) {
-  for (const GridCase& gc : differential_grid()) {
-    const SimWorld world = make_world(gc);
-    const ExploreOptions base = full_space_options(gc);
-    const auto seq = explore(world, with_symmetry(base, true));
-
-    ParallelExploreOptions popts;
-    popts.explore = with_symmetry(base, true);
-    popts.num_threads = 2;
-    const auto par = parallel_explore(world, popts);
-    const std::string label = gc.name + "/parallel-reduced";
-
-    EXPECT_EQ(seq.complete, par.complete) << label;
-    EXPECT_EQ(seq.states_visited, par.states_visited) << label;
-    EXPECT_EQ(seq.terminal_states, par.terminal_states) << label;
-    EXPECT_EQ(seq.agreed_values, par.agreed_values) << label;
-    for (const ViolationKind kind :
-         {ViolationKind::kInconsistent, ViolationKind::kInvalid,
-          ViolationKind::kStalled}) {
-      EXPECT_EQ(seq.violations_of(kind), par.violations_of(kind))
-          << label << " kind=" << to_string(kind);
-    }
-    EXPECT_EQ(seq.violations_of(ViolationKind::kNontermination) > 0,
-              par.violations_of(ViolationKind::kNontermination) > 0)
-        << label;
-    if (par.violation) {
-      expect_witness_reproduces(world, *par.violation, label);
     }
   }
 }

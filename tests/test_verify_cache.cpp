@@ -39,6 +39,18 @@ verify::JobSpec tiny_spec() {
   return spec;
 }
 
+/// `doc` with its dfs engine renamed to "parallel", the name of the
+/// deleted work-stealing engine.
+std::string naming_parallel(std::string doc) {
+  const std::string dfs = "\"engine\":\"dfs\"";
+  const std::size_t at = doc.find(dfs);
+  EXPECT_NE(at, std::string::npos) << doc;
+  if (at != std::string::npos) {
+    doc.replace(at, dfs.size(), "\"engine\":\"parallel\"");
+  }
+  return doc;
+}
+
 /// A fresh cache directory under the gtest temp root.
 std::string fresh_dir(const std::string& name) {
   const fs::path dir = fs::path(::testing::TempDir()) / name;
@@ -132,7 +144,7 @@ TEST(JobSpec, SemanticEditsChangeTheFingerprint) {
            [] { auto s = tiny_spec(); s.processes = 3; return s; }(),
            [] { auto s = tiny_spec(); s.crash_budget = 1; return s; }(),
            [] { auto s = tiny_spec(); s.symmetry_reduction = false; return s; }(),
-           [] { auto s = tiny_spec(); s.engine = verify::Engine::kParallel; return s; }(),
+           [] { auto s = tiny_spec(); s.engine = verify::Engine::kFrontier; return s; }(),
            [] { auto s = tiny_spec(); s.protocol = "staged"; return s; }(),
        }) {
     EXPECT_NE(fp, verify::job_fingerprint(edit)) << edit.canonical_json();
@@ -205,6 +217,15 @@ TEST(JobSpec, ValidationRejectsIllegalCombinations) {
     EXPECT_NO_THROW(spec.validate());
     spec.crash_budget = 1;
     EXPECT_THROW(spec.validate(), std::invalid_argument);
+  }
+  {
+    // "parallel" names no engine: no alias quietly maps a job that
+    // names it onto a different search.
+    EXPECT_THROW((void)verify::engine_from_string("parallel"),
+                 std::invalid_argument);
+    EXPECT_THROW((void)verify::JobSpec::parse(
+                     naming_parallel(tiny_spec().canonical_json())),
+                 std::invalid_argument);
   }
   // Registered but not simulable: resolvable by name, rejected as a job.
   for (const auto& info : proto::ProtocolRegistry::instance().all()) {
@@ -301,10 +322,12 @@ TEST(VerifyCache, CorruptEntryIsAMissNeverACrash) {
   const verify::RunOutcome cold = verify::run(spec, &cache);
   const std::string path = entry_path(cache, spec);
 
-  // Truncated mid-document, garbage, empty, wrong format version.
+  // Truncated mid-document, garbage, empty, wrong format version, and
+  // a current-version entry whose job names the deleted engine.
   for (const std::string& bad :
        {slurp(path).substr(0, 40), std::string("{not json"), std::string(),
-        std::string("{\"ff_cache_version\":999}")}) {
+        std::string("{\"ff_cache_version\":999}"),
+        naming_parallel(slurp(path))}) {
     dump(path, bad);
     EXPECT_EQ(cache.stats().unreadable, 1u);
     const verify::RunOutcome outcome = verify::run(spec, &cache);
@@ -427,25 +450,20 @@ TEST(VerifyRun, FrontierJobWithSleepSetsValidatesAndRuns) {
 }
 
 TEST(VerifyRun, EnginesAgreeOnTheCensusForTheSameJob) {
-  // dfs, parallel and frontier runs of the same JobSpec must produce
-  // census_equal Reports — the job layer's restatement of the
-  // differential suites' core invariant.
+  // dfs and frontier runs of the same JobSpec must produce census_equal
+  // Reports — the job layer's restatement of the differential suites'
+  // core invariant.
   verify::JobSpec dfs = tiny_spec();
   dfs.protocol = "staged";
   dfs.processes = 3;
-  verify::JobSpec par = dfs;
-  par.engine = verify::Engine::kParallel;
-  par.threads = 4;
   verify::JobSpec fro = dfs;
   fro.engine = verify::Engine::kFrontier;
   fro.threads = 4;
 
   const verify::Report a = verify::run(dfs).report;
-  const verify::Report b = verify::run(par).report;
   const verify::Report c = verify::run(fro).report;
-  EXPECT_TRUE(census_equal(a, b));
   EXPECT_TRUE(census_equal(a, c));
-  EXPECT_TRUE(a.complete && b.complete && c.complete);
+  EXPECT_TRUE(a.complete && c.complete);
   ASSERT_TRUE(c.frontier.has_value());
   EXPECT_GT(c.frontier->waves, 0u);
 }
