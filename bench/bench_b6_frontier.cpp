@@ -159,6 +159,12 @@ void emit_throughput(util::JsonWriter& w, std::uint64_t reps) {
        reps > 0 ? frontier_secs / static_cast<double>(reps) : 0.0);
   w.kv("dfs_peak_bytes", dfs_peak);
   w.kv("frontier_peak_bytes", frontier_peak);
+  // Frontier ÷ DFS peak_bytes: the census bytes the frontier pays per
+  // state relative to the DFS (printed by scripts/bench_gate.py, not
+  // gated).
+  w.kv("bytes_ratio", dfs_peak > 0 ? static_cast<double>(frontier_peak) /
+                                         static_cast<double>(dfs_peak)
+                                   : 0.0);
   w.kv("census_match", census_ok);
   w.kv("complete", complete);
   const double speedup = median(ratios);

@@ -70,9 +70,9 @@ void print_usage() {
       "  --threads   frontier worker threads;\n"
       "              0 = one per hardware thread                (default 0)\n"
       "  --spill-dir frontier only: directory for sorted census spill runs\n"
-      "              (witnesses are reconstructed back through the runs)\n"
+      "              (witnesses are re-derived through the runs)\n"
       "  --mem-limit-mb  frontier only: in-memory watermark in MiB over the\n"
-      "              spillable census; exceeded ⇒ spill to --spill-dir\n"
+      "              fingerprint tables; exceeded ⇒ spill to --spill-dir\n"
       "              (0 = never spill)                          (default 0)\n"
       "  --no-symmetry    disable process-symmetry reduction (explore one\n"
       "              state per permutation orbit — DESIGN.md §3d);\n"

@@ -59,6 +59,8 @@ B6 gates:
   * spill.spill_parity is true — the forced-spill run (one-byte
     watermark, every wave spilled) reproduced the in-memory census
     exactly AND actually wrote runs.
+  throughput.bytes_ratio (frontier ÷ DFS peak_bytes) is printed beside
+  them, not gated.
 
 B7 gates:
   * speedup >= 100 — re-running the reference job against a warm census
@@ -198,6 +200,7 @@ def gate_b6(report):
     speedup = float(throughput["speedup"])
     speedup_min = float(throughput["speedup_min"])
     speedup_max = float(throughput["speedup_max"])
+    bytes_ratio = float(throughput.get("bytes_ratio", 0.0))
     census_ok = bool(throughput["census_match"])
     complete = bool(throughput["complete"])
     spill = report["spill"]
@@ -211,7 +214,8 @@ def gate_b6(report):
           f"{float(throughput['dfs_mean_seconds']):.3f} s "
           f"({speedup:.2f}x median, min {speedup_min:.2f}x, max "
           f"{speedup_max:.2f}x over {int(throughput['reps'])} paired "
-          f"rounds), census match: {census_ok}, complete: {complete}, "
+          f"rounds), peak bytes {bytes_ratio:.2f}x the dfs's, "
+          f"census match: {census_ok}, complete: {complete}, "
           f"spill parity: {spill_parity} "
           f"({int(spill['spill_runs'])} runs, "
           f"{int(spill['spill_bytes'])} bytes)")

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "sched/reduce.hpp"
 
@@ -40,7 +42,7 @@ CycleScanResult scan_cycles(
   std::vector<std::uint32_t> indeg(n, 0);
   for (const std::span<const CycleEdge> l : lists) {
     for (const CycleEdge& e : l) {
-      ++offset[dense(e.from) + 1];
+      ++offset[dense(e.source()) + 1];
       ++indeg[dense(e.to)];
     }
   }
@@ -52,7 +54,7 @@ CycleScanResult scan_cycles(
   std::vector<std::uint32_t> succ(num_edges);
   for (const std::span<const CycleEdge> l : lists) {
     for (const CycleEdge& e : l) {
-      succ[offset[dense(e.from) + 1]++] = dense(e.to);
+      succ[offset[dense(e.source()) + 1]++] = dense(e.to);
     }
   }
 
@@ -143,7 +145,7 @@ CycleScanResult scan_cycles(
   for (const std::span<const CycleEdge> l : lists) {
     for (const CycleEdge& e : l) {
       if (!e.process_step()) continue;
-      const std::uint32_t du = dense(e.from), dv = dense(e.to);
+      const std::uint32_t du = dense(e.source()), dv = dense(e.to);
       if (scc_of[du] != kUndef && scc_of[du] == scc_of[dv] &&
           (scc_size[scc_of[du]] > 1 || du == dv)) {
         ++scan.process_cycle_edges;
@@ -157,13 +159,13 @@ CycleScanResult scan_cycles(
   // state's successors in CSR order.  `via` maps a CSR position back to
   // its edge (a second stable fill, made only now that a lap is needed).
   scan.lap.push_back(key);
-  const std::uint32_t du = dense(key->from), dv = dense(key->to);
+  const std::uint32_t du = dense(key->source()), dv = dense(key->to);
   if (du == dv) return scan;
   std::vector<const CycleEdge*> via(num_edges);
   {
     std::vector<std::uint64_t> cursor(offset.begin(), offset.end() - 1);
     for (const std::span<const CycleEdge> l : lists) {
-      for (const CycleEdge& e : l) via[cursor[dense(e.from)]++] = &e;
+      for (const CycleEdge& e : l) via[cursor[dense(e.source())]++] = &e;
     }
   }
   std::vector<const CycleEdge*> pred(n, nullptr);
@@ -185,7 +187,7 @@ CycleScanResult scan_cycles(
   }
   assert(found && "SCC is strongly connected: a v→u path must exist");
   const std::size_t first_back = scan.lap.size();
-  for (std::uint32_t cur = du; cur != dv; cur = dense(pred[cur]->from)) {
+  for (std::uint32_t cur = du; cur != dv; cur = dense(pred[cur]->source())) {
     scan.lap.push_back(pred[cur]);
   }
   std::reverse(scan.lap.begin() + static_cast<std::ptrdiff_t>(first_back),
@@ -193,12 +195,44 @@ CycleScanResult scan_cycles(
   return scan;
 }
 
+std::vector<Choice> rederive(SimWorld& world,
+                             std::span<const CycleEdge> hops,
+                             bool match_kind, bool sym, const IdOf& id_of) {
+  std::vector<Choice> out;
+  out.reserve(hops.size());
+  StateEncoder encoder;
+  EncodedState enc;
+  SimWorld::StepUndo undo;
+  for (const CycleEdge& hop : hops) {
+    bool found = false;
+    for (const Choice& c : world.enabled()) {
+      if (match_kind && (c.pid != kAdversaryPid) != hop.process_step()) {
+        continue;
+      }
+      world.apply_with_undo(c, undo);
+      encoder.encode(world, enc);
+      if (id_of(fingerprint_state(enc, sym)) == hop.to) {
+        out.push_back(c);
+        found = true;
+        break;
+      }
+      world.undo_step(undo);
+    }
+    if (!found) {
+      throw std::runtime_error(
+          "witness re-derivation: no choice reaches state " +
+          std::to_string(hop.to));
+    }
+  }
+  return out;
+}
+
 void add_nontermination(
     const CycleScanResult& scan, const SimWorld& root, bool sym,
     const ExploreOptions& opts,
     const std::function<std::vector<Choice>(std::uint32_t, SimWorld*)>&
         path_to,
-    ExploreResult& result) {
+    const IdOf& id_of, ExploreResult& result) {
   if (scan.process_cycle_edges == 0) return;
   const std::uint64_t reported =
       opts.stop_at_first_violation ? 1 : scan.process_cycle_edges;
@@ -207,23 +241,13 @@ void add_nontermination(
   if (result.violation) return;
 
   SimWorld at_u = root;
-  std::vector<Choice> witness = path_to(scan.lap.front()->from, &at_u);
-  std::vector<Choice> lap;
-  lap.reserve(scan.lap.size());
+  std::vector<Choice> witness = path_to(scan.lap.front()->source(), &at_u);
+  std::vector<CycleEdge> hops;
+  hops.reserve(scan.lap.size());
+  for (const CycleEdge* e : scan.lap) hops.push_back(*e);
   SimWorld world = at_u;
-  StateEncoder encoder;
-  EncodedState enc;
-  std::vector<std::uint32_t> order;
-  for (const CycleEdge* e : scan.lap) {
-    Choice c = e->choice();
-    if (sym && e->slot != CycleEdge::kNoSlot) {
-      encoder.encode(world, enc);
-      canonical_order(enc, order);
-      c.pid = order[e->slot];
-    }
-    lap.push_back(c);
-    world.apply(c);
-  }
+  std::vector<Choice> lap = rederive(world, hops, /*match_kind=*/true, sym,
+                                     id_of);
   if (sym) {
     if (auto closed = close_symmetric_cycle(at_u, lap)) {
       lap = std::move(*closed);

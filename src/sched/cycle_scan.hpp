@@ -1,12 +1,12 @@
-// Nontermination scan of the multi-threaded frontier explorer
-// (frontier_explore).
+// Nontermination scan and witness re-derivation of the multi-threaded
+// frontier explorer (frontier_explore).
 //
 // A breadth-first wave has no root-to-state DFS path to find back-edges
 // on, so the engine records every explored transition between
-// non-terminal states and, once its workers join, hands the per-worker
-// edge lists to scan_cycles() and the result to add_nontermination().
-// A process-step edge that lies on a cycle is a wait-freedom violation
-// (kNontermination).
+// non-terminal states as an 8-byte (from, to) pair and, once its workers
+// join, hands the per-worker edge lists to scan_cycles() and the result
+// to add_nontermination().  A process-step edge that lies on a cycle is a
+// wait-freedom violation (kNontermination).
 //
 // The scan first PEELS the graph (Kahn): it removes every state whose
 // in-degree drops to zero.  A state on a cycle never peels, so when
@@ -16,6 +16,12 @@
 // inside a cyclic SCC is counted, and the first such edge in list order
 // (worker 0's list first) is closed into a lap by a BFS inside its SCC.
 // The result is a function of the edge lists alone.
+//
+// Neither edges nor the engine's per-state census record WHICH choice
+// took a step.  A witness is re-derived once, after the join, by
+// rederive(): it walks a path of state ids from a concrete world and, at
+// each hop, keeps the first enabled choice whose successor's fingerprint
+// the engine resolves to the hop's target.
 #pragma once
 
 #include <cstdint>
@@ -23,6 +29,7 @@
 #include <span>
 #include <vector>
 
+#include "sched/explore_common.hpp"
 #include "sched/explorer.hpp"
 #include "sched/sim_world.hpp"
 
@@ -30,38 +37,20 @@ namespace ff::sched {
 
 /// One explored transition, as the frontier explorer records it.
 /// Only non-terminal targets are recorded: a terminal state cannot sit
-/// on a cycle.  `from`/`to` are the engine's sharded state ids,
-/// (index << shard_bits) | shard.
+/// on a cycle.  Ids are the engine's sharded state ids,
+/// (index << shard_bits) | shard, which are 31-bit, so the top bit of
+/// `from` is free to mark an adversary step.
 struct CycleEdge {
-  static constexpr std::uint8_t kFault = 1;
-  static constexpr std::uint8_t kCrash = 2;
-  static constexpr std::uint8_t kNoSlot = 0xFF;
+  static constexpr std::uint32_t kAdversary = 0x80000000u;
 
-  std::uint32_t from;
-  std::uint32_t to;
-  std::uint32_t pid;      ///< kAdversaryPid for an adversary step
-  std::uint32_t variant;  ///< Choice::fault_variant
-  std::uint8_t flags;     ///< kFault | kCrash
-  /// Canonical slot of pid in `from`'s block order (kNoSlot without
-  /// symmetry or for adversary steps).  Under symmetry a later walk may
-  /// hold a different representative of `from` than the discoverer did;
-  /// the slot resolves to an equivalent choice in any of them.
-  std::uint8_t slot;
+  std::uint32_t from;  ///< source id, | kAdversary for an adversary step
+  std::uint32_t to;    ///< target id
 
-  [[nodiscard]] static CycleEdge of(std::uint32_t from, std::uint32_t to,
-                                    const Choice& c, std::uint8_t slot) {
-    return CycleEdge{from, to, c.pid, c.fault_variant,
-                     static_cast<std::uint8_t>((c.fault ? kFault : 0) |
-                                               (c.crash ? kCrash : 0)),
-                     slot};
-  }
-  [[nodiscard]] Choice choice() const {
-    return Choice{pid, (flags & kFault) != 0, variant, (flags & kCrash) != 0};
-  }
-  [[nodiscard]] bool process_step() const { return pid != kAdversaryPid; }
+  [[nodiscard]] std::uint32_t source() const { return from & ~kAdversary; }
+  [[nodiscard]] bool process_step() const { return (from & kAdversary) == 0; }
 };
 // The engine counts sizeof(CycleEdge) into its peak-bytes census.
-static_assert(sizeof(CycleEdge) == 20);
+static_assert(sizeof(CycleEdge) == 8);
 
 struct CycleScanResult {
   /// Process-step edges inside cyclic SCCs.
@@ -83,11 +72,29 @@ struct CycleScanResult {
     const std::vector<std::uint32_t>& shard_sizes, std::uint32_t shard_bits,
     const std::vector<std::span<const CycleEdge>>& lists);
 
+/// The engine's id of the censused state with a fingerprint, or any
+/// value that is no id when no such state was censused.
+using IdOf = std::function<std::uint32_t(const detail::Fingerprint&)>;
+
+/// Re-derives the choices of `hops`, consecutive explored edges whose
+/// first edge leaves the state `world` holds.  At each hop it keeps the
+/// first of world.enabled()'s choices whose successor's fingerprint
+/// (fingerprint_state, canonical under `sym`) `id_of` resolves to the
+/// hop's target, and applies it; with `match_kind` the choice must
+/// also be a process step exactly when the hop is.  `world` ends at the
+/// last target.  Throws std::runtime_error when no choice re-derives a
+/// hop, which means the engine lost a censused state (an unreadable
+/// spill run, say).
+[[nodiscard]] std::vector<Choice> rederive(SimWorld& world,
+                                           std::span<const CycleEdge> hops,
+                                           bool match_kind, bool sym,
+                                           const IdOf& id_of);
+
 /// Adds a scan's findings to `result`.  kNontermination counts every
 /// cyclic process edge (one under stop_at_first_violation).  When
 /// `result` holds no other violation, the witness is the engine's own
-/// root → u path to the lap's first state u, then the lap, each slot
-/// resolved against the representative the replay holds; under symmetry
+/// root → u path to the lap's first state u, then the lap re-derived by
+/// rederive() with each hop's kind matched; under symmetry
 /// close_symmetric_cycle extends the lap until the encoding closes
 /// exactly.  `path_to(u, world)` returns that path and leaves `*world`,
 /// a copy of `root`, at u.
@@ -96,6 +103,6 @@ void add_nontermination(
     const ExploreOptions& opts,
     const std::function<std::vector<Choice>(std::uint32_t, SimWorld*)>&
         path_to,
-    ExploreResult& result);
+    const IdOf& id_of, ExploreResult& result);
 
 }  // namespace ff::sched

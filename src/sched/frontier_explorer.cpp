@@ -57,22 +57,18 @@ namespace {
 using detail::Fingerprint;
 using detail::FlatFpMap;
 
+/// Parent id of the root.
 constexpr std::uint32_t kNoParent = 0xFFFFFFFFu;
+/// Table value bit: the state is terminal.
 constexpr std::uint32_t kTerminalFlag = 0x80000000u;
+/// Ids are 31-bit, which frees the top bit of CycleEdge::from.
 constexpr std::uint64_t kIdSpace = 0x7FFFFFFEull;
-constexpr std::uint8_t kNoSlot = CycleEdge::kNoSlot;
-
-/// Choice encoding shared by items, records and edges.
-constexpr std::uint8_t kChoiceFault = CycleEdge::kFault;
-constexpr std::uint8_t kChoiceCrash = CycleEdge::kCrash;
-/// Record-only: the state behind this record is terminal.
-constexpr std::uint8_t kRecTerminal = 4;
 
 /// Items expanded between drains of the worker's inbound rings.
 constexpr std::size_t kExpandBlock = 64;
-/// Records per SPSC ring (per producer/consumer pair).
-constexpr std::size_t kRingRecords = 512;
-/// Records per spill-run read buffer during merge-join / binary search.
+/// Items per SPSC ring (per producer/consumer pair).
+constexpr std::size_t kRingItems = 512;
+/// Entries per spill-run read buffer during merge-join.
 constexpr std::size_t kRunBuf = 1024;
 
 [[nodiscard]] bool fp_less(const Fingerprint& x, const Fingerprint& y) {
@@ -84,54 +80,44 @@ constexpr std::size_t kRunBuf = 1024;
 //
 // One candidate/wave state is a flat block of `stride` words:
 //   [0] fp.a          [1] fp.b
-//   [2] parent_fp.a   [3] parent_fp.b
-//   [4] pid | variant << 32                (discovering choice)
-//   [5] parent_id | flags << 32 | slot << 40
-//   [6] depth | own_id << 32               (own_id written on accept)
-//   [7 .. 7+S+n)      the compact state LaneSpace steps (lane_space.hpp)
+//   [2] parent_id | own_id << 32 | adversary << 63
+//                     (own_id written on accept; the adversary bit marks
+//                     a candidate an adversary step produced)
+//   [3 .. 3+S+n)      the compact state LaneSpace steps (lane_space.hpp)
+// A state's depth is the wave that admits it (Ctx::waves); which choice
+// discovered it is re-derived only for a witness (cycle_scan.hpp).
 // ---------------------------------------------------------------------------
 
-constexpr std::size_t kHeaderWords = 7;
-constexpr std::size_t kItFpA = 0, kItFpB = 1, kItParA = 2, kItParB = 3;
-constexpr std::size_t kItChoice = 4, kItParent = 5, kItDepth = 6;
+constexpr std::size_t kHeaderWords = 3;
+constexpr std::size_t kItFpA = 0, kItFpB = 1, kItIds = 2;
+constexpr std::uint64_t kItAdversary = std::uint64_t{1} << 63;
 
-/// Census record: the in-memory back-pointer entry AND the on-disk spill
-/// format (sorted by fp within a run).  Fixed 56-byte POD so runs can be
-/// written/read as flat arrays and binary-searched by seek.
-struct Record {
+/// Spill-run entry: one (fingerprint, seq | terminal flag) pair of a
+/// shard's table.  Runs are flat arrays sorted by fp, so they are read
+/// as streams and binary-searched by seek.
+struct RunEntry {
   Fingerprint fp;
-  Fingerprint parent_fp;
-  std::uint32_t seq = 0;        ///< per-shard sequence number
-  std::uint32_t parent_id = 0;  ///< global id of the discovering parent
-  std::uint32_t pid = 0;
-  std::uint32_t variant = 0;
-  std::uint8_t flags = 0;  ///< kChoiceFault | kChoiceCrash | kRecTerminal
-  std::uint8_t slot = kNoSlot;
-  std::uint8_t pad[6] = {};  ///< written to runs, so never left unset
+  std::uint32_t value = 0;
+  std::uint32_t pad = 0;  ///< written to runs, so never left unset
 };
-static_assert(sizeof(Record) == 56 && std::is_trivially_copyable_v<Record>);
-
-[[nodiscard]] Choice record_choice(std::uint32_t pid, std::uint32_t variant,
-                                   std::uint8_t flags) {
-  return Choice{pid, (flags & kChoiceFault) != 0, variant,
-                (flags & kChoiceCrash) != 0};
-}
+static_assert(sizeof(RunEntry) == 24 && std::is_trivially_copyable_v<RunEntry>);
 
 // ---------------------------------------------------------------------------
 // Shards, per-worker state, shared context.
 // ---------------------------------------------------------------------------
 
 struct alignas(64) ShardState {
+  /// fp → seq | kTerminalFlag of the states admitted since the last
+  /// spill (all of them when nothing spilled).
   FlatFpMap table{16};
-  std::vector<Record> records;      ///< post-spill: since spilled_base
-  std::vector<Fingerprint> fp_by_seq;  ///< never spilled (cycle scan)
+  /// The discovering parent's id, indexed by seq (kNoParent for the
+  /// root).  Never spilled: witnesses walk it back to the root.
+  std::vector<std::uint32_t> parent;
   std::vector<std::uint64_t> wave;  ///< items to expand this wave
   /// Direct mode: censused next-wave items (flipped into wave at the
   /// boundary).  Spill mode: raw successor candidates awaiting dedup.
   std::vector<std::uint64_t> cand;
   std::vector<std::string> runs;    ///< sorted spill run files
-  std::uint32_t next_seq = 0;
-  std::uint32_t spilled_base = 0;
   std::uint64_t grows = 0;  ///< table grows accumulated across resets
 };
 
@@ -152,14 +138,12 @@ struct WorkerState {
   LaneCache cache;
 
   // Expansion scratch.
-  EncodedState parent_enc;  ///< sym only: for the canonical slots
   /// Per-pid block hashes + multiset sums of the current parent (sym
   /// only): the child fingerprint is the shared fold plus these sums
   /// with the stepped block's hash swapped.
   std::vector<Fingerprint> parent_block_hash;
   std::uint64_t parent_sum_a = 0;
   std::uint64_t parent_sum_b = 0;
-  std::vector<std::uint32_t> slot_of;
   std::vector<Choice> choices;
   std::vector<std::uint64_t> child_item;
   std::vector<std::uint64_t> ring_tmp;
@@ -167,13 +151,14 @@ struct WorkerState {
   // Dedup scratch.
   std::vector<std::uint32_t> sort_idx;
   std::vector<std::uint32_t> dup_from_run;
-  std::vector<Record> run_buf;
+  std::vector<RunEntry> run_buf;
 };
 
 struct BestViolation {
   std::uint32_t depth;
   Fingerprint fp;
   ViolationKind kind;
+  std::uint32_t id;
 };
 
 struct Ctx {
@@ -218,7 +203,9 @@ struct Ctx {
   // ff-lint: allow(R1): spill broadcast from worker 0, checker-internal
   std::atomic<bool> spill_now{false};
 
-  // Worker-0-only (read by the main thread after the join).
+  // Worker-0-only writes, between barriers B2 and B3: every other read
+  // (admission reads `waves` as the depth it admits at) falls between
+  // B3 and the next B2, or after the join.
   std::uint64_t waves = 0;
   std::uint64_t peak_bytes = 0;
 
@@ -279,21 +266,11 @@ void finalize_child(Ctx& ctx, WorkerState& ws, std::uint32_t w,
   // Start the dedup probe's cache fill while the header words are
   // written — admit_item's find lands on a warm line.
   if (ctx.direct && owner == w) ctx.shards[shard].table.prefetch(fp);
-  const std::uint8_t flags = (choice.fault ? kChoiceFault : 0) |
-                             (choice.crash ? kChoiceCrash : 0);
-  const std::uint8_t slot =
-      ctx.sym && choice.pid != kAdversaryPid
-          ? static_cast<std::uint8_t>(ws.slot_of[choice.pid])
-          : kNoSlot;
   c[kItFpA] = fp.a;
   c[kItFpB] = fp.b;
-  c[kItParA] = item[kItFpA];
-  c[kItParB] = item[kItFpB];
-  c[kItChoice] =
-      std::uint64_t{choice.pid} | (std::uint64_t{choice.fault_variant} << 32);
-  c[kItParent] = (item[kItDepth] >> 32) | (std::uint64_t{flags} << 32) |
-                 (std::uint64_t{slot} << 40);
-  c[kItDepth] = static_cast<std::uint32_t>(item[kItDepth]) + 1;
+  // The parent's own id, and whether an adversary took the step.
+  c[kItIds] = (item[kItIds] >> 32) |
+              (choice.pid == kAdversaryPid ? kItAdversary : 0);
   if (owner == w) {
     ShardState& sh = ctx.shards[shard];
     if (ctx.direct) {
@@ -317,8 +294,6 @@ void expand_item(Ctx& ctx, WorkerState& ws, std::uint32_t w,
                  const std::uint64_t* item) {
   const std::uint64_t* state = item + kHeaderWords;
   if (ctx.sym) {
-    ctx.space->encode(state, ws.parent_enc);
-    canonical_slots(ws.parent_enc, ws.slot_of);
     ws.parent_block_hash.resize(ctx.n);
     ws.parent_sum_a = 0;
     ws.parent_sum_b = 0;
@@ -398,11 +373,11 @@ void expand_phase(Ctx& ctx, WorkerState& ws, std::uint32_t w,
 // ---------------------------------------------------------------------------
 
 void offer_violation(Ctx& ctx, std::uint32_t depth, const Fingerprint& fp,
-                     ViolationKind kind) {
+                     ViolationKind kind, std::uint32_t id) {
   std::lock_guard<std::mutex> g(ctx.violation_mu);
   if (!ctx.best || depth < ctx.best->depth ||
       (depth == ctx.best->depth && fp_less(fp, ctx.best->fp))) {
-    ctx.best = BestViolation{depth, fp, kind};
+    ctx.best = BestViolation{depth, fp, kind, id};
   }
   ctx.found_violation.store(true, std::memory_order_relaxed);
 }
@@ -410,25 +385,24 @@ void offer_violation(Ctx& ctx, std::uint32_t depth, const Fingerprint& fp,
 /// Census admission of one owner-routed candidate.  `existing` is the
 /// caller's dedup lookup result (kNoValue when the fingerprint is new).
 /// Duplicate → record the transition edge; novel → intern the
-/// fingerprint, assign the dense id, push the Record, and either run
+/// fingerprint, assign the dense id, store the parent id, and either run
 /// the terminal verdict or append the item to `next_wave`.  Returns
 /// the table value of the fingerprint (seq | terminal flag).
 /// Single-writer: only the shard's owner may call this.  A state is
-/// admitted with depth = parent depth + 1 whether admission happens at
-/// routing time (direct mode) or at the wave boundary (spill mode) —
-/// every candidate of wave d carries depth d+1 — so the census and the
-/// BFS depth-minimality guarantee are identical in both modes.
+/// admitted at depth Ctx::waves whether admission happens at routing
+/// time (direct mode) or at the wave boundary (spill mode): the
+/// candidates of wave d-1 are admitted while waves == d in both modes,
+/// so the census and the BFS depth-minimality guarantee are identical.
 std::uint32_t admit_item(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx,
                          std::uint64_t* item, std::uint32_t existing,
                          std::vector<std::uint64_t>& next_wave) {
   ShardState& sh = ctx.shards[shard_idx];
   const Fingerprint fp{item[kItFpA], item[kItFpB]};
-  const auto depth = static_cast<std::uint32_t>(item[kItDepth]);
-  const auto parent_id = static_cast<std::uint32_t>(item[kItParent]);
-  const auto pid = static_cast<std::uint32_t>(item[kItChoice]);
-  const auto variant = static_cast<std::uint32_t>(item[kItChoice] >> 32);
-  const auto flags = static_cast<std::uint8_t>(item[kItParent] >> 32);
-  const auto slot = static_cast<std::uint8_t>(item[kItParent] >> 40);
+  const auto parent_id = static_cast<std::uint32_t>(item[kItIds]);
+  // The edge's source: the parent, flagged when an adversary stepped.
+  const std::uint32_t from =
+      parent_id | ((item[kItIds] & kItAdversary) != 0 ? CycleEdge::kAdversary
+                                                       : 0);
 
   if (existing != FlatFpMap::kNoValue) {
     // Duplicate: record the transition edge (non-terminal targets
@@ -436,37 +410,24 @@ std::uint32_t admit_item(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx,
     if ((existing & kTerminalFlag) == 0 && parent_id != kNoParent) {
       const std::uint32_t to =
           ((existing & ~kTerminalFlag) << ctx.shard_bits) | shard_idx;
-      ws.edges.push_back(CycleEdge{parent_id, to, pid, variant, flags, slot});
+      ws.edges.push_back(CycleEdge{from, to});
     }
     return existing;
   }
 
   // Novel state.
   const bool terminal = ctx.space->terminal(item + kHeaderWords);
-  const std::uint32_t seq = sh.next_seq;
+  const auto seq = static_cast<std::uint32_t>(sh.parent.size());
   if ((std::uint64_t{seq} << ctx.shard_bits) > kIdSpace) {
     ctx.aborted.store(true, std::memory_order_relaxed);
     return FlatFpMap::kNoValue;
   }
-  ++sh.next_seq;
   std::uint32_t value = seq;
   if (terminal) value |= kTerminalFlag;
   sh.table.insert_or_get(fp, value);
+  sh.parent.push_back(parent_id);
   const std::uint32_t id = (seq << ctx.shard_bits) | shard_idx;
-  item[kItDepth] =
-      static_cast<std::uint32_t>(item[kItDepth]) | (std::uint64_t{id} << 32);
-
-  Record rec;
-  rec.fp = fp;
-  rec.parent_fp = Fingerprint{item[kItParA], item[kItParB]};
-  rec.seq = seq;
-  rec.parent_id = parent_id;
-  rec.pid = pid;
-  rec.variant = variant;
-  rec.flags = flags | (terminal ? kRecTerminal : 0);
-  rec.slot = slot;
-  sh.records.push_back(rec);
-  sh.fp_by_seq.push_back(fp);
+  item[kItIds] = std::uint64_t{parent_id} | (std::uint64_t{id} << 32);
 
   const std::uint64_t nstates =
       ctx.states.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -475,10 +436,11 @@ std::uint32_t admit_item(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx,
     ctx.aborted.store(true, std::memory_order_relaxed);
     return value;
   }
+  const auto depth = static_cast<std::uint32_t>(ctx.waves);
   ws.max_depth = std::max<std::uint64_t>(ws.max_depth, depth);
 
   if (!terminal && parent_id != kNoParent) {
-    ws.edges.push_back(CycleEdge{parent_id, id, pid, variant, flags, slot});
+    ws.edges.push_back(CycleEdge{from, id});
   }
 
   if (terminal) {
@@ -487,7 +449,7 @@ std::uint32_t admit_item(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx,
     if (v.kind) {
       ++ws.violations_found;
       ++ws.by_kind[*v.kind];
-      offer_violation(ctx, depth, fp, *v.kind);
+      offer_violation(ctx, depth, fp, *v.kind, id);
     } else if (v.agreed) {
       ws.agreed_values.insert(*v.agreed);
     }
@@ -500,7 +462,7 @@ std::uint32_t admit_item(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx,
 /// Marks candidates whose fingerprint already sits in a spill run:
 /// streamed merge-join of the fp-sorted candidate order against each
 /// sorted run.  dup value = seq | terminal flag.
-void mark_run_duplicates(const Ctx& ctx, WorkerState& ws, ShardState& sh) {
+void mark_run_duplicates(Ctx& ctx, WorkerState& ws, ShardState& sh) {
   const std::size_t count = ws.sort_idx.size();
   const auto cand_fp = [&](std::uint32_t ci) {
     const std::uint64_t* it = sh.cand.data() + std::size_t{ci} * ctx.stride;
@@ -509,21 +471,24 @@ void mark_run_duplicates(const Ctx& ctx, WorkerState& ws, ShardState& sh) {
   ws.run_buf.resize(kRunBuf);
   for (const std::string& path : sh.runs) {
     std::ifstream in(path, std::ios::binary);
-    if (!in) continue;  // run unreadable: treated as empty (abort below)
+    if (!in) {
+      // An unreadable run would silently re-admit its states; abort.
+      ctx.aborted.store(true, std::memory_order_relaxed);
+      return;
+    }
     std::size_t ci = 0;
     bool more = true;
     while (more && ci < count) {
       in.read(reinterpret_cast<char*>(ws.run_buf.data()),
-              static_cast<std::streamsize>(kRunBuf * sizeof(Record)));
+              static_cast<std::streamsize>(kRunBuf * sizeof(RunEntry)));
       const std::size_t got =
-          static_cast<std::size_t>(in.gcount()) / sizeof(Record);
+          static_cast<std::size_t>(in.gcount()) / sizeof(RunEntry);
       more = got == kRunBuf;
       for (std::size_t r = 0; r < got && ci < count; ++r) {
-        const Record& rec = ws.run_buf[r];
-        while (ci < count && fp_less(cand_fp(ws.sort_idx[ci]), rec.fp)) ++ci;
-        while (ci < count && cand_fp(ws.sort_idx[ci]) == rec.fp) {
-          ws.dup_from_run[ws.sort_idx[ci]] =
-              rec.seq | ((rec.flags & kRecTerminal) != 0 ? kTerminalFlag : 0);
+        const RunEntry& e = ws.run_buf[r];
+        while (ci < count && fp_less(cand_fp(ws.sort_idx[ci]), e.fp)) ++ci;
+        while (ci < count && cand_fp(ws.sort_idx[ci]) == e.fp) {
+          ws.dup_from_run[ws.sort_idx[ci]] = e.value;
           ++ci;
         }
       }
@@ -587,120 +552,102 @@ void dedup_shard(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx) {
 // Spill.
 // ---------------------------------------------------------------------------
 
+/// Writes the shard's table as one fp-sorted run and starts a fresh
+/// table; parent ids stay in memory.
 void spill_shard(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx) {
   ShardState& sh = ctx.shards[shard_idx];
-  if (sh.records.empty()) return;
-  std::sort(sh.records.begin(), sh.records.end(),
-            [](const Record& x, const Record& y) { return fp_less(x.fp, y.fp); });
+  if (sh.table.size() == 0) return;
+  std::vector<RunEntry> run;
+  run.reserve(sh.table.size());
+  sh.table.for_each([&run](const Fingerprint& fp, std::uint32_t value) {
+    run.push_back(RunEntry{fp, value});
+  });
+  std::sort(run.begin(), run.end(), [](const RunEntry& x, const RunEntry& y) {
+    return fp_less(x.fp, y.fp);
+  });
   const std::string path = ctx.spill_dir + "/shard" +
                            std::to_string(shard_idx) + ".run" +
                            std::to_string(sh.runs.size());
   std::ofstream outf(path, std::ios::binary | std::ios::trunc);
-  outf.write(reinterpret_cast<const char*>(sh.records.data()),
-             static_cast<std::streamsize>(sh.records.size() * sizeof(Record)));
+  outf.write(reinterpret_cast<const char*>(run.data()),
+             static_cast<std::streamsize>(run.size() * sizeof(RunEntry)));
   if (!outf) {
     // A lost run would silently re-admit spilled states; abort instead.
     ctx.aborted.store(true, std::memory_order_relaxed);
     return;
   }
   ++ws.spill_runs;
-  ws.spilled_records += sh.records.size();
-  ws.spill_bytes += sh.records.size() * sizeof(Record);
+  ws.spilled_records += run.size();
+  ws.spill_bytes += run.size() * sizeof(RunEntry);
   sh.runs.push_back(path);
-  sh.spilled_base = sh.next_seq;
-  std::vector<Record>().swap(sh.records);
   sh.grows += sh.table.grows();
   sh.table = FlatFpMap(1024);
 }
 
 // ---------------------------------------------------------------------------
-// Witness reconstruction (through memory or spilled runs).
+// Witnesses, re-derived after the join (cycle_scan.hpp: rederive).
 // ---------------------------------------------------------------------------
 
-/// Binary search of one sorted run file for `fp` (seekg on 56-byte
-/// records).  Returns true and fills `out` on a hit.
-[[nodiscard]] bool search_run(const std::string& path, const Fingerprint& fp,
-                              Record& out) {
+/// Binary search of one sorted run file for `fp` (seekg on 24-byte
+/// entries): its value (seq | terminal flag), or kNoValue on a miss.
+[[nodiscard]] std::uint32_t search_run(const std::string& path,
+                                       const Fingerprint& fp) {
   std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return false;
+  if (!in) return FlatFpMap::kNoValue;
   const auto bytes = static_cast<std::uint64_t>(in.tellg());
-  std::uint64_t lo = 0, hi = bytes / sizeof(Record);
+  std::uint64_t lo = 0, hi = bytes / sizeof(RunEntry);
   while (lo < hi) {
     const std::uint64_t mid = lo + (hi - lo) / 2;
-    Record rec;
-    in.seekg(static_cast<std::streamoff>(mid * sizeof(Record)));
-    in.read(reinterpret_cast<char*>(&rec), sizeof(Record));
-    if (!in) return false;
-    if (rec.fp == fp) {
-      out = rec;
-      return true;
-    }
-    if (fp_less(rec.fp, fp)) {
+    RunEntry e;
+    in.seekg(static_cast<std::streamoff>(mid * sizeof(RunEntry)));
+    in.read(reinterpret_cast<char*>(&e), sizeof(RunEntry));
+    if (!in) return FlatFpMap::kNoValue;
+    if (e.fp == fp) return e.value;
+    if (fp_less(e.fp, fp)) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
-  return false;
+  return FlatFpMap::kNoValue;
 }
 
-[[nodiscard]] bool lookup_record(const Ctx& ctx, const Fingerprint& fp,
-                                 Record& out) {
-  const ShardState& sh = ctx.shards[ctx.shard_of(fp)];
-  const std::uint32_t v = sh.table.find(fp);
-  if (v != FlatFpMap::kNoValue) {
-    const std::uint32_t seq = v & ~kTerminalFlag;
-    assert(seq >= sh.spilled_base);
-    out = sh.records[seq - sh.spilled_base];
-    return true;
+/// The id of the censused state with fingerprint `fp` (kNoParent when
+/// there is none): its shard's table, else that shard's spill runs.
+[[nodiscard]] std::uint32_t id_of(const Ctx& ctx, const Fingerprint& fp) {
+  const std::uint32_t shard = ctx.shard_of(fp);
+  const ShardState& sh = ctx.shards[shard];
+  std::uint32_t value = sh.table.find(fp);
+  for (auto it = sh.runs.rbegin();
+       value == FlatFpMap::kNoValue && it != sh.runs.rend(); ++it) {
+    value = search_run(*it, fp);
   }
-  for (auto it = sh.runs.rbegin(); it != sh.runs.rend(); ++it) {
-    if (search_run(*it, fp, out)) return true;
-  }
-  return false;
+  if (value == FlatFpMap::kNoValue) return kNoParent;
+  return ((value & ~kTerminalFlag) << ctx.shard_bits) | shard;
 }
 
-/// Discovery chain root → fp (forward order), walked through the
-/// parent-fingerprint back-pointers.  Each hop strictly decreases BFS
-/// depth, so the walk is bounded by the state's depth.
-[[nodiscard]] std::vector<Record> record_chain(const Ctx& ctx,
-                                               Fingerprint fp) {
-  std::vector<Record> chain;
-  Record rec;
-  bool ok = lookup_record(ctx, fp, rec);
-  while (ok && rec.parent_id != kNoParent) {
-    chain.push_back(rec);
-    ok = lookup_record(ctx, rec.parent_fp, rec);
-  }
-  assert(ok && "witness chain must reach the root");
-  std::reverse(chain.begin(), chain.end());
-  return chain;
-}
-
-/// Replays the chain from the root, re-resolving each recorded choice's
-/// pid through its canonical slot (under symmetry a later walk may hold
-/// a different orbit representative than the discoverer did; the slot
-/// is orbit-invariant).
-[[nodiscard]] std::vector<Choice> path_to(const Ctx& ctx,
-                                          const Fingerprint& fp,
+/// The root → `id` schedule: walks the parent ids back to the root (each
+/// hop is one BFS level up, so the walk is bounded by the state's
+/// depth), then re-derives each hop's choice from the root.  The replay
+/// reproduces the discovering choice at every hop: a parent's children
+/// reach their owner in choice order (locally, or through one FIFO
+/// ring), so the first choice that reaches a child's fingerprint is the
+/// one that admitted it, and by induction from the root the replay holds
+/// the discoverer's exact state.
+[[nodiscard]] std::vector<Choice> path_to(const Ctx& ctx, std::uint32_t id,
                                           SimWorld* world_out) {
-  const std::vector<Record> chain = record_chain(ctx, fp);
-  std::vector<Choice> out;
-  out.reserve(chain.size());
-  SimWorld world = *ctx.root;
-  StateEncoder encoder;
-  EncodedState enc;
-  std::vector<std::uint32_t> order;
-  for (const Record& rec : chain) {
-    Choice c = record_choice(rec.pid, rec.variant, rec.flags);
-    if (ctx.sym && rec.slot != kNoSlot) {
-      encoder.encode(world, enc);
-      canonical_order(enc, order);
-      c.pid = order[rec.slot];
-    }
-    out.push_back(c);
-    world.apply(c);
+  const auto parent_of = [&ctx](std::uint32_t v) {
+    return ctx.shards[v & ctx.shard_mask].parent[v >> ctx.shard_bits];
+  };
+  std::vector<CycleEdge> hops;
+  for (std::uint32_t v = id; parent_of(v) != kNoParent; v = parent_of(v)) {
+    hops.push_back(CycleEdge{parent_of(v), v});
   }
+  std::reverse(hops.begin(), hops.end());
+  SimWorld world = *ctx.root;
+  std::vector<Choice> out =
+      rederive(world, hops, /*match_kind=*/false, ctx.sym,
+               [&ctx](const Fingerprint& fp) { return id_of(ctx, fp); });
   if (world_out != nullptr) *world_out = std::move(world);
   return out;
 }
@@ -708,7 +655,7 @@ void spill_shard(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx) {
 [[nodiscard]] Violation build_witness(const Ctx& ctx,
                                       const BestViolation& best) {
   SimWorld world = *ctx.root;
-  std::vector<Choice> schedule = path_to(ctx, best.fp, &world);
+  std::vector<Choice> schedule = path_to(ctx, best.id, &world);
   std::string why;
   const auto kind = detail::check_terminal(world, *ctx.opts, why);
   assert(kind && *kind == best.kind &&
@@ -725,9 +672,8 @@ void spill_shard(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx) {
   std::uint64_t total =
       ctx.arena->bytes() + ctx.mesh->capacity_bytes();
   for (const ShardState& sh : ctx.shards) {
-    total += sh.table.capacity() * 24 + sh.records.capacity() * sizeof(Record);
+    total += sh.table.capacity() * 24 + sh.parent.capacity() * 4;
     total += (sh.wave.capacity() + sh.cand.capacity()) * 8;
-    total += sh.fp_by_seq.capacity() * sizeof(Fingerprint);
   }
   for (const WorkerState& wsx : *ctx.wlocals) {
     total += wsx.edges.capacity() * sizeof(CycleEdge);
@@ -736,12 +682,10 @@ void spill_shard(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx) {
   return total;
 }
 
-/// The spillable structures the watermark governs (tables + records).
+/// The spillable structures the watermark governs: the tables.
 [[nodiscard]] std::uint64_t spillable_bytes(const Ctx& ctx) {
   std::uint64_t total = 0;
-  for (const ShardState& sh : ctx.shards) {
-    total += sh.table.capacity() * 24 + sh.records.capacity() * sizeof(Record);
-  }
+  for (const ShardState& sh : ctx.shards) total += sh.table.capacity() * 24;
   return total;
 }
 
@@ -865,7 +809,7 @@ FrontierExploreResult frontier_explore(const SimConfig& config,
       16, detail::table_hint(opts) / ctx.num_shards);
   for (ShardState& sh : ctx.shards) sh.table = FlatFpMap(per_shard_hint);
   ctx.mesh = std::make_unique<util::HandoffMesh>(ctx.workers, ctx.stride,
-                                                 kRingRecords);
+                                                 kRingItems);
   ctx.barrier = std::make_unique<util::SpinBarrier>(ctx.workers);
 
   std::vector<WorkerState> wlocals(ctx.workers);
@@ -882,17 +826,12 @@ FrontierExploreResult frontier_explore(const SimConfig& config,
   {
     std::vector<std::uint64_t> item(ctx.stride, 0);
     space.state_of(root, item.data() + kHeaderWords);
-    item[kItParent] = std::uint64_t{kNoParent} |
-                      (std::uint64_t{kNoSlot} << 40);
-    item[kItChoice] = 0;
-    item[kItDepth] = 0;
+    item[kItIds] = kNoParent;
     WorkerState& ws0 = wlocals[0];
     const Fingerprint root_fp =
         space.fingerprint(item.data() + kHeaderWords, ws0.cache);
     item[kItFpA] = root_fp.a;
     item[kItFpB] = root_fp.b;
-    item[kItParA] = root_fp.a;  // unused (parent_id is kNoParent)
-    item[kItParB] = root_fp.b;
     const std::uint32_t root_shard = ctx.shard_of(root_fp);
     ShardState& sh = ctx.shards[root_shard];
     if (ctx.direct) {
@@ -945,17 +884,18 @@ FrontierExploreResult frontier_explore(const SimConfig& config,
       ctx.found_violation.load(std::memory_order_relaxed);
   if (!aborted && !stopped_early) {
     std::vector<std::uint32_t> shard_sizes;
-    for (const ShardState& sh : ctx.shards) shard_sizes.push_back(sh.next_seq);
+    for (const ShardState& sh : ctx.shards) {
+      shard_sizes.push_back(static_cast<std::uint32_t>(sh.parent.size()));
+    }
     std::vector<std::span<const CycleEdge>> edge_lists;
     for (const WorkerState& ws : wlocals) edge_lists.emplace_back(ws.edges);
     add_nontermination(
         scan_cycles(shard_sizes, ctx.shard_bits, edge_lists), *ctx.root,
         ctx.sym, opts,
         [&ctx](std::uint32_t u, SimWorld* at_u) {
-          const ShardState& sh = ctx.shards[u & ctx.shard_mask];
-          return path_to(ctx, sh.fp_by_seq[u >> ctx.shard_bits], at_u);
+          return path_to(ctx, u, at_u);
         },
-        result);
+        [&ctx](const Fingerprint& fp) { return id_of(ctx, fp); }, result);
   }
 
   result.complete =

@@ -22,14 +22,22 @@
 //     is stepped on a clone() of the lane's machine, so the engine needs
 //     nothing from a factory beyond the MachineFactory interface.
 //
-//   * DISK-SPILLED CENSUSES.  When the in-memory census exceeds a
-//     watermark, each worker sorts its shard's (fingerprint, parent_fp,
-//     choice) records by fingerprint and appends them as a run file to
-//     `spill_dir`; later waves deduplicate by merge-joining their sorted
-//     candidates against the runs, and witness reconstruction walks the
-//     parent-fingerprint back-pointers through the runs by binary
-//     search.  Peak census memory is bounded by the watermark (plus the
-//     never-spilled edge list the nontermination scan needs).
+//   * A LEAN CENSUS.  Per state the engine keeps its table entry
+//     (fingerprint → id), a 4-byte parent id and, per non-terminal edge,
+//     an 8-byte (from, to) pair for the cycle scan — no discovering
+//     choice and no parent encoding.  A witness is re-derived once,
+//     after the join: walk the parent ids to the root, then replay from
+//     the root, keeping at each hop the first choice whose successor's
+//     fingerprint resolves to the next id (sched/cycle_scan.hpp).
+//
+//   * DISK-SPILLED CENSUSES.  When the fingerprint tables exceed a
+//     watermark, each worker writes its shard's table as a run file of
+//     fp-sorted (fingerprint, id) entries to `spill_dir` and starts a
+//     fresh table; later waves deduplicate by merge-joining their sorted
+//     candidates against the runs, and witness re-derivation resolves a
+//     spilled fingerprint by binary search of the runs.  Table memory is
+//     bounded by the watermark; parent ids and the edge list the
+//     nontermination scan needs are never spilled.
 //
 // The result satisfies the ExploreResult contract: the census
 // (states_visited, terminal_states, agreed_values, violation counts per
@@ -70,8 +78,9 @@ struct FrontierExploreOptions {
   /// Directory for sorted spill runs.  Empty disables spilling (the
   /// engine then ignores mem_limit_bytes and keeps everything in RAM).
   std::string spill_dir;
-  /// In-memory watermark over the spillable census structures
-  /// (fingerprint tables + witness records).  0 = never spill.
+  /// In-memory watermark over the fingerprint tables, the only census
+  /// structure that spills (parent ids and cycle-scan edges stay in
+  /// RAM).  0 = never spill.
   std::uint64_t mem_limit_bytes = 0;
 };
 
@@ -81,7 +90,7 @@ struct FrontierStats {
   std::uint64_t waves = 0;             ///< BFS levels expanded
   std::uint64_t forwarded = 0;         ///< cross-shard handoffs
   std::uint64_t spill_runs = 0;        ///< sorted runs written
-  std::uint64_t spilled_records = 0;   ///< records in those runs
+  std::uint64_t spilled_records = 0;   ///< table entries in those runs
   std::uint64_t spill_bytes = 0;       ///< bytes written to spill_dir
   /// Memo misses stepped (clone() + deliver()), one per arena call;
   /// both counters keep their historical names and now read alike.

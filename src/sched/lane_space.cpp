@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cstring>
 #include <limits>
-#include <stdexcept>
-#include <string>
 
 namespace ff::sched {
 
@@ -34,13 +32,6 @@ constexpr std::uint64_t kKilledBit = std::uint64_t{1} << 48;
 }
 [[nodiscard]] std::uint64_t with_lane(std::uint64_t w, std::uint32_t lane) {
   return (w & ~kLaneMask) | lane;
-}
-
-[[noreturn]] void throw_outside(const PendingOp& op, std::uint32_t size) {
-  throw std::out_of_range(
-      std::string(op.type == OpType::kCas ? "CAS object " : "register ") +
-      std::to_string(op.object) + " is outside the layout (" +
-      std::to_string(size) + ")");
 }
 
 }  // namespace
@@ -365,7 +356,7 @@ void LaneSpace::apply(const std::uint64_t* state, const Choice& choice,
   // The addressed word: objects sit at [0, O), registers at [O, O+R).
   const auto target = [&]() -> std::uint64_t& {
     const std::uint32_t size = cas ? objects_ : registers_;
-    if (op.object >= size) throw_outside(op, size);
+    if (op.object >= size) throw_outside_layout(op, size);
     return out[cas ? op.object : objects_ + op.object];
   };
 

@@ -124,9 +124,11 @@ class LaneArena {
       std::unique_ptr<StepMachine> machine, objects::ProcessId pid);
 
   std::mutex mu_;
-  detail::FlatFpMap intern_{1 << 12};
-  detail::FlatFpMap deliver_memo_{1 << 14};
-  detail::FlatFpMap crash_memo_{1 << 10};
+  // Every table starts at FlatFpMap's minimum (16 slots) and doubles as
+  // the job needs, so a small job pays for a small arena.
+  detail::FlatFpMap intern_{0};
+  detail::FlatFpMap deliver_memo_{0};
+  detail::FlatFpMap crash_memo_{0};
   std::size_t size_ = 0;
   std::size_t chunks_ = 0;
   std::uint64_t machine_words_ = 0;  ///< encode words of interned lanes
@@ -149,8 +151,9 @@ class LaneArena {
 /// One stepping thread's private caches in front of the shared arena,
 /// and its tallies.
 struct LaneCache {
-  detail::FlatFpMap deliver_cache{1 << 12};
-  detail::FlatFpMap crash_cache{1 << 10};
+  // Start at FlatFpMap's minimum and grow with the job, like the arena's.
+  detail::FlatFpMap deliver_cache{0};
+  detail::FlatFpMap crash_cache{0};
   /// Block hashes indexed by (lane, crashes, killed) — a process block
   /// is a pure function of those three.  {0,0} marks unset; a real hash
   /// equal to the sentinel merely recomputes.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 namespace ff::sched {
 
@@ -15,6 +17,13 @@ model::Value corrupt_return(model::Value before) {
 }
 
 }  // namespace
+
+void throw_outside_layout(const PendingOp& op, std::uint32_t size) {
+  throw std::out_of_range(
+      std::string(op.type == OpType::kCas ? "CAS object " : "register ") +
+      std::to_string(op.object) + " is outside the layout (" +
+      std::to_string(size) + ")");
+}
 
 SimWorld::SimWorld(SimConfig config, const MachineFactory& factory,
                    std::vector<std::uint64_t> inputs)
@@ -230,6 +239,13 @@ void SimWorld::apply(const Choice& choice) {
   assert(!killed_[choice.pid] && !machine.done());
   const PendingOp op = machine.next_op();
   ++total_steps_;
+  // The addressed word's index, checked before any access.
+  const auto index = [&op](std::size_t size) {
+    if (op.object >= size) {
+      throw_outside_layout(op, static_cast<std::uint32_t>(size));
+    }
+    return op.object;
+  };
 
   if (choice.crash) {
     assert(config_.crash_budget > 0 &&
@@ -239,7 +255,7 @@ void SimWorld::apply(const Choice& choice) {
       // Crash-after: the operation's effect reaches the object, but the
       // process crashes before observing the response.
       if (op.type == OpType::kCas) {
-        const model::Value before = objects_.at(op.object);
+        const model::Value before = objects_[index(objects_.size())];
         const model::CasEffect effect = model::cas_apply(
             before, model::CasCall{op.expected, op.desired});
         objects_[op.object] = effect.after;
@@ -252,7 +268,7 @@ void SimWorld::apply(const Choice& choice) {
           config_.sink->on_cas(ev);
         }
       } else if (op.type == OpType::kRegWrite) {
-        registers_.at(op.object) = op.desired;
+        registers_[index(registers_.size())] = op.desired;
       }
     }
     ++crashes_used_[choice.pid];
@@ -262,18 +278,18 @@ void SimWorld::apply(const Choice& choice) {
 
   if (op.type == OpType::kRegRead) {
     assert(!choice.fault);
-    machine.deliver(registers_.at(op.object));
+    machine.deliver(registers_[index(registers_.size())]);
     return;
   }
   if (op.type == OpType::kRegWrite) {
     assert(!choice.fault);
-    registers_.at(op.object) = op.desired;
+    registers_[index(registers_.size())] = op.desired;
     machine.deliver(model::Value::bottom());
     return;
   }
 
   assert(op.type == OpType::kCas);
-  const model::Value before = objects_.at(op.object);
+  const model::Value before = objects_[index(objects_.size())];
   const model::CasCall call{op.expected, op.desired};
 
   faults::CasEvent ev;

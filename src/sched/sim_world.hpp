@@ -34,6 +34,12 @@ namespace ff::sched {
 /// Pseudo-process id for adversary data-corruption steps.
 inline constexpr objects::ProcessId kAdversaryPid = 0xFFFFFFFFu;
 
+/// Throws the std::out_of_range that SimWorld::apply and LaneSpace::apply
+/// raise for a step addressing a word outside the layout: op.object is
+/// not below `size`, the count of CAS objects (a CAS) or of registers.
+[[noreturn]] void throw_outside_layout(const PendingOp& op,
+                                       std::uint32_t size);
+
 struct SimConfig {
   std::uint32_t num_objects = 1;
   /// Read/write registers available to the protocol (always correct —

@@ -43,9 +43,8 @@ struct Graph {
   }
   void edge(std::uint32_t u, std::uint32_t v, bool process,
             std::size_t list = 0) {
-    lists[list].push_back(CycleEdge{id(u), id(v),
-                                    process ? 0u : kAdversaryPid, 0, 0,
-                                    CycleEdge::kNoSlot});
+    lists[list].push_back(
+        CycleEdge{id(u) | (process ? 0u : CycleEdge::kAdversary), id(v)});
   }
   void proc(std::uint32_t u, std::uint32_t v) { edge(u, v, true); }
   void adv(std::uint32_t u, std::uint32_t v) { edge(u, v, false); }
@@ -65,7 +64,7 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>> hops(
     const Graph& g, const CycleScanResult& r) {
   std::vector<std::pair<std::uint32_t, std::uint32_t>> out;
   for (const CycleEdge* e : r.lap) {
-    out.emplace_back(g.node(e->from), g.node(e->to));
+    out.emplace_back(g.node(e->source()), g.node(e->to));
   }
   return out;
 }
@@ -199,7 +198,7 @@ TEST(CycleScan, RandomGraphsMatchReachabilityOracle) {
     for (std::uint32_t v = 0; v < n; ++v) reach[v][v] = true;
     for (const auto& l : g.lists) {
       for (const CycleEdge& e : l) {
-        reach[g.node(e.from)][g.node(e.to)] = true;
+        reach[g.node(e.source())][g.node(e.to)] = true;
       }
     }
     for (std::uint32_t k = 0; k < n; ++k) {
@@ -214,7 +213,7 @@ TEST(CycleScan, RandomGraphsMatchReachabilityOracle) {
     std::vector<bool> on_cycle(n, false);
     for (const auto& l : g.lists) {
       for (const CycleEdge& e : l) {
-        const std::uint32_t u = g.node(e.from), v = g.node(e.to);
+        const std::uint32_t u = g.node(e.source()), v = g.node(e.to);
         if (!reach[v][u]) continue;
         on_cycle[u] = true;
         if (!e.process_step()) continue;
@@ -243,18 +242,19 @@ TEST(CycleScan, RandomGraphsMatchReachabilityOracle) {
     EXPECT_EQ(r.lap.front(), want_key) << "trial " << trial;
     EXPECT_TRUE(r.lap.front()->process_step());
     for (std::size_t i = 0; i + 1 < r.lap.size(); ++i) {
-      ASSERT_EQ(r.lap[i]->to, r.lap[i + 1]->from) << "trial " << trial;
+      ASSERT_EQ(r.lap[i]->to, r.lap[i + 1]->source()) << "trial " << trial;
     }
-    EXPECT_EQ(r.lap.back()->to, r.lap.front()->from) << "trial " << trial;
+    EXPECT_EQ(r.lap.back()->to, r.lap.front()->source()) << "trial " << trial;
     // The way back v → … → u is a shortest one.
-    const std::uint32_t u = g.node(want_key->from), v = g.node(want_key->to);
+    const std::uint32_t u = g.node(want_key->source()),
+                        v = g.node(want_key->to);
     std::vector<std::uint32_t> dist(n, n + 1);
     std::vector<std::uint32_t> queue{v};
     dist[v] = 0;
     for (std::size_t head = 0; head < queue.size(); ++head) {
       for (const auto& l : g.lists) {
         for (const CycleEdge& e : l) {
-          const std::uint32_t x = g.node(e.from), y = g.node(e.to);
+          const std::uint32_t x = g.node(e.source()), y = g.node(e.to);
           if (x != queue[head] || dist[y] <= n) continue;
           dist[y] = dist[x] + 1;
           queue.push_back(y);

@@ -5,7 +5,7 @@
 // simulable-registry × fault-kind × crash-budget grid (generated
 // machines) — with symmetry reduction on and off, under forced
 // spilling, and at any shard count.  Witnesses must strictly replay,
-// including witnesses reconstructed out of spilled runs.  Also covers
+// including witnesses re-derived through spilled runs.  Also covers
 // ExploreOptions::max_states truncation for both explorers (a capped run
 // must be incomplete and must not fabricate a violation on a correct
 // configuration), and a worker's exception, which must reach the caller
@@ -229,8 +229,8 @@ TEST(FrontierDifferential, ShardCountInvariance) {
 }
 
 // ---------------------------------------------------------------------------
-// Forced spill: a byte-sized watermark spills every wave; the census and
-// the reconstructed witnesses must not change.
+// Forced spill: a byte-sized watermark spills every wave; the census
+// must not change and the re-derived witnesses must still replay.
 // ---------------------------------------------------------------------------
 
 FrontierExploreOptions spill_opts(FrontierExploreOptions options,
@@ -264,9 +264,9 @@ TEST(FrontierSpill, ForcedSpillCensusParity) {
 
 TEST(FrontierSpill, SpilledWitnessStrictReplay) {
   // Single-CAS under one silent fault violates agreement (the winning
-  // CAS is lost); with a byte watermark the witness chain must be
-  // walked back through the spilled runs by binary search and still
-  // strictly replay.
+  // CAS is lost); with a byte watermark the witness's states must be
+  // resolved through the spilled runs by binary search and the witness
+  // must still strictly replay.
   const auto factory = proto::machine_factory("single-cas");
   sched::SimConfig config;
   config.num_objects = factory->objects_used();

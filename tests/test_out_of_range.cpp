@@ -8,7 +8,8 @@
 //     (no fault branches, no crash-after);
 //   * performing the access throws std::out_of_range, in SimWorld and in
 //     LaneSpace alike, so explore(), frontier_explore() and fuzz() throw
-//     (the frontier rethrows its worker's exception after the join).
+//     (the frontier rethrows its worker's exception after the join),
+//     every one with the same text naming the word and the layout.
 //
 // The machines below issue the bad access from their first step, a CAS
 // on object 7 of 1 and a register write to register 5 of 1, and can crash
@@ -84,15 +85,29 @@ struct Case {
   std::string name;
   OpType type;
   std::uint32_t crash_budget;
+  std::string what;  ///< the exception's text
 };
 
 const std::vector<Case>& cases() {
   static const std::vector<Case> all = {
-      {"cas", OpType::kCas, 0},
-      {"cas crashes=1", OpType::kCas, 1},
-      {"register write crashes=1", OpType::kRegWrite, 1},
+      {"cas", OpType::kCas, 0, "CAS object 7 is outside the layout (1)"},
+      {"cas crashes=1", OpType::kCas, 1,
+       "CAS object 7 is outside the layout (1)"},
+      {"register write crashes=1", OpType::kRegWrite, 1,
+       "register 5 is outside the layout (1)"},
   };
   return all;
+}
+
+/// The text of the std::out_of_range `f` throws ("" when it throws none).
+template <typename F>
+std::string out_of_range_text(F&& f) {
+  try {
+    f();
+  } catch (const std::out_of_range& e) {
+    return e.what();
+  }
+  return "";
 }
 
 SimConfig config_of(const Case& c) {
@@ -127,12 +142,16 @@ TEST(OutOfRange, EnumerationOffersOnlyThePlainStepAndCrashBefore) {
     space.enabled(state.data(), got, cache);
     EXPECT_EQ(got, expected) << c.name;
 
-    // The plain step throws in both; crash-before does not touch the word.
+    // The plain step throws in both, with the same text; crash-before
+    // does not touch the word.
     std::vector<std::uint64_t> child(space.stride());
     SimWorld stepped = world;
-    EXPECT_THROW(stepped.apply(expected[0]), std::out_of_range) << c.name;
-    EXPECT_THROW(space.apply(state.data(), expected[0], child.data(), cache),
-                 std::out_of_range)
+    EXPECT_EQ(out_of_range_text([&] { stepped.apply(expected[0]); }), c.what)
+        << c.name;
+    EXPECT_EQ(out_of_range_text([&] {
+                space.apply(state.data(), expected[0], child.data(), cache);
+              }),
+              c.what)
         << c.name;
     if (c.crash_budget > 0) {
       SimWorld crashed = world;
@@ -149,18 +168,22 @@ TEST(OutOfRange, SearchingEnginesThrow) {
   for (const Case& c : cases()) {
     const OutOfRangeFactory factory(c.type);
     const SimWorld world(config_of(c), factory, kInputs);
-    EXPECT_THROW((void)explore(world), std::out_of_range) << c.name;
+    EXPECT_EQ(out_of_range_text([&] { (void)explore(world); }), c.what)
+        << c.name;
     for (const std::uint32_t threads : {1u, 2u}) {
       FrontierExploreOptions options;
       options.num_threads = threads;
-      EXPECT_THROW(
-          (void)frontier_explore(config_of(c), factory, kInputs, options),
-          std::out_of_range)
+      EXPECT_EQ(out_of_range_text([&] {
+                  (void)frontier_explore(config_of(c), factory, kInputs,
+                                         options);
+                }),
+                c.what)
           << c.name << " threads=" << threads;
     }
     FuzzOptions options;
     options.budget.max_units = 1000;
-    EXPECT_THROW((void)fuzz(world, options), std::out_of_range) << c.name;
+    EXPECT_EQ(out_of_range_text([&] { (void)fuzz(world, options); }), c.what)
+        << c.name;
   }
 }
 
