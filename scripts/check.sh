@@ -20,9 +20,11 @@
 #      concurrent same-key writers) under ThreadSanitizer;
 #   5. FF_SANITIZE=address build → the memory-heavy fuzzer/explorer suites,
 #      the post-join cycle scan's CSR, peel and Tarjan indexing, the
-#      lane-space lockstep suite with the DFS Report pin, and the
-#      out-of-range access rule (label `asan`) under AddressSanitizer +
-#      UndefinedBehaviorSanitizer;
+#      lane-space lockstep suite with the DFS Report pin, the
+#      out-of-range access rule, the step rule's Definition 1 property
+#      tests and the covering adversary (label `asan`) under
+#      AddressSanitizer + UndefinedBehaviorSanitizer, with NDEBUG undefined
+#      so every assert in src/ runs;
 #      stages 4 and 5 build the ff_tsan_tests / ff_asan_tests targets,
 #      which tests/CMakeLists.txt derives from the label lists;
 #   6. ff-lint (label `lint`): the rule-engine test suite plus a tree

@@ -73,9 +73,7 @@ class FaultyCas final : public objects::CasObject {
     arbitrary_ = [s = seed_](std::uint64_t op) {
       return util::mix64(s ^ util::mix64(op + 1));
     };
-    invisible_ = [](model::Value before) {
-      return model::Value::of(before.raw() + 1);
-    };
+    invisible_ = model::invisible_return;
   }
 
   void set_arbitrary_source(ArbitrarySource src) {
@@ -258,7 +256,7 @@ class FaultyCas final : public objects::CasObject {
     const model::Value corrupted = invisible_(ev.obs.before);
     ev.obs.returned = corrupted;
     ev.fired = model::FaultKind::kInvisible;
-    ev.manifested = corrupted != ev.obs.before;
+    ev.manifested = !model::satisfies_phi(ev.obs, ev.call);
     if (!ev.manifested) refund();
   }
 

@@ -7,6 +7,8 @@
 // fault the observation is consistent with (Definition 1).
 #pragma once
 
+#include <optional>
+
 #include "model/fault_kind.hpp"
 #include "model/value.hpp"
 
@@ -63,6 +65,13 @@ struct CasEffect {
   return CasEffect{before, before, false};
 }
 
+/// Output of a CAS that suffers the invisible fault (§3.4): the register
+/// behaves per spec, and the returned old value is off by one, so it
+/// never equals the true content.
+[[nodiscard]] constexpr Value invisible_return(Value before) noexcept {
+  return Value::of(before.raw() + 1);
+}
+
 /// Standard postcondition Φ of CAS.
 [[nodiscard]] constexpr bool satisfies_phi(const CasObservation& obs,
                                            const CasCall& call) noexcept {
@@ -70,6 +79,55 @@ struct CasEffect {
     return obs.after == call.desired && obs.returned == obs.before;
   }
   return obs.after == obs.before && obs.returned == obs.before;
+}
+
+/// The observation a CAS yields when it suffers a fault of `kind`: the Φ′
+/// outcome the simulators branch on.  `written` is what an arbitrary
+/// fault writes; the other kinds ignore it.  nullopt for a nonresponsive
+/// fault, whose operation never returns.  Data corruption strikes between
+/// operations (§3.1), so under it, as under kNone, the CAS itself
+/// behaves per spec.
+[[nodiscard]] constexpr std::optional<CasObservation> fault_outcome(
+    FaultKind kind, Value before, const CasCall& call,
+    Value written = Value::bottom()) noexcept {
+  CasEffect effect = cas_apply(before, call);
+  switch (kind) {
+    case FaultKind::kOverriding:
+      effect = cas_apply_overriding(before, call);
+      break;
+    case FaultKind::kSilent:
+      effect = cas_apply_silent(before, call);
+      break;
+    case FaultKind::kInvisible:
+      effect.returned = invisible_return(before);
+      break;
+    case FaultKind::kArbitrary:
+      effect.after = written;
+      break;
+    case FaultKind::kNonresponsive:
+      return std::nullopt;
+    case FaultKind::kDataCorruption:
+    case FaultKind::kNone:
+      break;
+  }
+  return CasObservation{before, effect.after, effect.returned};
+}
+
+/// Definition 1: a fault of `kind` manifests iff its outcome violates Φ.
+/// A nonresponsive fault always does, since no response satisfies Φ.
+[[nodiscard]] constexpr bool fault_manifests(
+    FaultKind kind, Value before, const CasCall& call,
+    Value written = Value::bottom()) noexcept {
+  const std::optional<CasObservation> obs =
+      fault_outcome(kind, before, call, written);
+  return !obs || !satisfies_phi(*obs, call);
+}
+
+/// A data corruption (§3.1) overwrites the content outside any operation;
+/// it is a fault only when it changes the content.
+[[nodiscard]] constexpr bool corruption_manifests(Value content,
+                                                  Value written) noexcept {
+  return written != content;
 }
 
 /// Deviating postcondition Φ′ of the given fault kind.  For kNone this is

@@ -85,13 +85,19 @@ CoveringAdversaryResult run_covering_adversary(
         ++result.total_steps;
         continue;
       }
-      // First CAS on a fresh object: fault it (if the comparison would
-      // succeed anyway, the correct write has the identical overriding
-      // effect and costs no fault) and halt pi.
-      const bool manifests = world.object_value(op.object) != op.expected;
-      result.log.push_back(describe_op(pid, op) +
-                           (manifests ? " [overriding fault]"
-                                      : " [writes via correct success]"));
+      // First CAS on a fresh object: fault it and halt pi.  Where the
+      // overriding fault would not manifest (Definition 1), the correct
+      // step has its effect and costs no fault: the comparison succeeds,
+      // or the object already holds the desired value.
+      const model::Value before = world.object_value(op.object);
+      const bool manifests = model::fault_manifests(
+          model::FaultKind::kOverriding, before, {op.expected, op.desired});
+      const char* what = " [overriding fault]";
+      if (!manifests) {
+        what = before == op.expected ? " [writes via correct success]"
+                                     : " [no fault: holds the desired value]";
+      }
+      result.log.push_back(describe_op(pid, op) + what);
       world.apply({pid, manifests, 0});
       ++result.total_steps;
       if (manifests) ++result.faults_per_object[op.object];

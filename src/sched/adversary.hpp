@@ -41,7 +41,9 @@ struct CoveringAdversaryResult {
   bool disagreement = false;
   std::optional<std::uint64_t> p0_decision;
   std::optional<std::uint64_t> last_decision;
-  /// Objects faulted, in order (the O_{j_1} ... O_{j_f} of the proof).
+  /// Objects covered, in order (the O_{j_1} ... O_{j_f} of the proof),
+  /// including those whose overriding fault would not have manifested
+  /// (Definition 1) and so was not applied.
   std::vector<objects::ObjectId> faulted_objects;
   /// Manifested overriding faults per object (all entries must be ≤ 1,
   /// witnessing that t = 1 suffices for the lower bound).

@@ -16,13 +16,13 @@
 #include <bit>
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "sched/explorer.hpp"
 #include "sched/sim_world.hpp"
+#include "sched/step_rule.hpp"
 #include "util/rng.hpp"
 
 namespace ff::sched::detail {
@@ -178,9 +178,9 @@ class FlatFpMap {
 };
 
 /// Pre-size for the fingerprint tables and per-state arenas, shared by
-/// every FlatFpMap consumer (the sequential explorer, shortest-witness
-/// search, batched pools).  An explicit expected_states hint is the
-/// caller asserting the census size, so it is trusted up to 2^26
+/// every FlatFpMap consumer (the sequential explorer, the frontier's
+/// shards, shortest-witness search).  An explicit expected_states hint
+/// is the caller asserting the census size, so it is trusted up to 2^26
 /// entries — the old 2^24 cap silently re-capped exact large hints and
 /// made the table rehash mid-census right after a run had measured the
 /// true size (the stale-pre-size bug ExploreResult::table_grows now
@@ -199,49 +199,25 @@ class FlatFpMap {
   return static_cast<std::size_t>(std::min<std::uint64_t>(bound, kDefaultCap));
 }
 
-/// Checks a terminal world; returns a violation kind if one applies.
+/// Checks a terminal world; returns a violation kind if one applies, and
+/// describes it in `detail`.
 [[nodiscard]] inline std::optional<ViolationKind> check_terminal(
     const SimWorld& world, const ExploreOptions& options,
     std::string& detail) {
-  const auto decisions = world.decisions();
-  const auto& inputs = world.inputs();
-  const std::set<std::uint64_t> input_set(inputs.begin(), inputs.end());
-
-  std::optional<std::uint64_t> first;
-  for (std::uint32_t pid = 0; pid < decisions.size(); ++pid) {
-    if (!decisions[pid]) continue;
-    const std::uint64_t value = *decisions[pid];
-    if (!input_set.contains(value)) {
-      std::ostringstream oss;
-      oss << "p" << pid << " decided " << value
-          << " which is no process's input";
-      detail = oss.str();
-      return ViolationKind::kInvalid;
-    }
-    if (first && *first != value) {
-      std::ostringstream oss;
-      oss << "decisions disagree: " << *first << " vs " << value << " (p"
-          << pid << ")";
-      detail = oss.str();
-      return ViolationKind::kInconsistent;
-    }
-    if (!first) first = value;
+  const TerminalVerdict v = world.verdict(options.killed_is_violation);
+  if (!v.kind) return std::nullopt;
+  std::ostringstream oss;
+  if (*v.kind == ViolationKind::kInvalid) {
+    oss << "p" << v.pid << " decided " << v.value
+        << " which is no process's input";
+  } else if (*v.kind == ViolationKind::kInconsistent) {
+    oss << "decisions disagree: " << *v.agreed << " vs " << v.value << " (p"
+        << v.pid << ")";
+  } else {
+    oss << "a process was killed by a nonresponsive fault";
   }
-  if (options.killed_is_violation && world.any_killed()) {
-    detail = "a process was killed by a nonresponsive fault";
-    return ViolationKind::kStalled;
-  }
-  return std::nullopt;
-}
-
-/// The representative agreed value of a consistent terminal state, if any
-/// process decided (both explorers record the same representative).
-[[nodiscard]] inline std::optional<std::uint64_t> agreed_value(
-    const SimWorld& world) {
-  for (const auto& d : world.decisions()) {
-    if (d) return *d;
-  }
-  return std::nullopt;
+  detail = oss.str();
+  return v.kind;
 }
 
 }  // namespace ff::sched::detail

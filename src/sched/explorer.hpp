@@ -105,8 +105,7 @@ struct ExploreResult {
   std::set<std::uint64_t> agreed_values;
   /// Mid-run rehashes of the fingerprint table.  0 exactly when
   /// expected_states pre-sized the table for the whole census — the
-  /// regression signal for the stale-pre-size path (batched pools size
-  /// their columns from the same hint).
+  /// regression signal for the stale-pre-size path.
   std::uint64_t table_grows = 0;
   /// A2 immunity-pruning tallies for THIS search: overriding-fault
   /// enabling conditions evaluated brute-force vs skipped outright via a
@@ -115,10 +114,11 @@ struct ExploreResult {
   /// reduction ffcheck's A2 bought (bench_b3's `immune_prune_factor`).
   std::uint64_t immunity_checks = 0;
   std::uint64_t immunity_skips = 0;
-  /// Peak bytes the engine's search structures held: fingerprint table,
-  /// frontier/stack containers, record and edge arenas, and (frontier
-  /// engine) spill I/O buffers.  An end-of-run capacity census of the
-  /// monotone structures, not an allocator trace — the comparable signal
+  /// Peak bytes the engine's search structures held: fingerprint
+  /// tables, the lane arena and memo tables, the DFS's stack and state
+  /// arenas, and the frontier's parent ids, wave buffers, handoff rings
+  /// and cycle-scan edges.  A capacity census of the monotone
+  /// structures, not an allocator trace — the comparable signal
   /// spill-watermark tuning needs, cheap enough to always collect.
   std::uint64_t peak_bytes = 0;
 

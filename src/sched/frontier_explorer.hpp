@@ -97,7 +97,11 @@ struct FrontierStats {
   std::uint64_t batch_sweeps = 0;
   std::uint64_t batched_lanes = 0;
   std::uint64_t memo_hits = 0;         ///< transitions answered by memo
-  std::uint64_t arena_lanes = 0;       ///< distinct hash-consed lanes
+  /// Distinct hash-consed lanes.  Under symmetry at more than one
+  /// thread, which orbit representative a wave admits first decides
+  /// which lanes get interned, so this count and the arena's share of
+  /// peak_bytes may differ by one lane between runs; the census cannot.
+  std::uint64_t arena_lanes = 0;
 
   friend bool operator==(const FrontierStats&,
                          const FrontierStats&) = default;

@@ -161,29 +161,60 @@ std::uint32_t LaneArena::intern_machine(std::unique_ptr<StepMachine> machine,
 // LaneSpace.
 // ---------------------------------------------------------------------------
 
+struct LaneSpace::View {
+  const LaneSpace& s;
+  const std::uint64_t* state;
+
+  [[nodiscard]] std::uint64_t word(objects::ProcessId pid) const {
+    return state[s.S_ + pid];
+  }
+  [[nodiscard]] const LaneMeta& meta(objects::ProcessId pid) const {
+    return s.arena_->meta(lane_of(word(pid)));
+  }
+
+  [[nodiscard]] std::uint32_t processes() const { return s.n_; }
+  /// A halted lane's op is kNone already (LaneMeta).
+  [[nodiscard]] PendingOp pending(objects::ProcessId pid) const {
+    return killed(pid) ? PendingOp::none() : meta(pid).op;
+  }
+  [[nodiscard]] std::uint32_t crashes(objects::ProcessId pid) const {
+    return crashes_of(word(pid));
+  }
+  [[nodiscard]] bool can_crash(objects::ProcessId pid) const {
+    return meta(pid).can_crash;
+  }
+  [[nodiscard]] bool killed(objects::ProcessId pid) const {
+    return killed_of(word(pid));
+  }
+  [[nodiscard]] std::optional<std::uint64_t> decision(
+      objects::ProcessId pid) const {
+    const LaneMeta& m = meta(pid);
+    if (!m.done) return std::nullopt;
+    return m.decision();
+  }
+  [[nodiscard]] model::Value object(objects::ObjectId id) const {
+    return model::Value::of(state[id]);
+  }
+  /// The state holds the capped count min(used, t), which reaches t
+  /// exactly when used does; with t = ∞ it is 0.
+  [[nodiscard]] std::uint64_t faults(objects::ObjectId id) const {
+    return state[s.objects_ + s.registers_ + id];
+  }
+  [[nodiscard]] model::Value reg(objects::ObjectId id) const {
+    return model::Value::of(state[s.objects_ + id]);
+  }
+};
+
 LaneSpace::LaneSpace(const SimWorld& root, LaneArena& arena, bool sym,
                      bool killed_is_violation)
     : arena_(&arena),
-      cfg_(root.config()),
+      rule_(root.rule()),
       sym_(sym),
       killed_is_violation_(killed_is_violation),
       S_(root.shared_words()),
       n_(root.processes()),
-      objects_(cfg_.num_objects),
-      registers_(cfg_.num_registers),
-      inputs_sorted_(root.inputs()) {
-  cfg_.sink = nullptr;
-  if (cfg_.use_immunity_pruning && root.facts() != nullptr) {
-    immune_ = *root.facts();
-  }
-  std::sort(inputs_sorted_.begin(), inputs_sorted_.end());
-  inputs_sorted_.erase(
-      std::unique(inputs_sorted_.begin(), inputs_sorted_.end()),
-      inputs_sorted_.end());
-  for (const model::Value v : cfg_.arbitrary_candidates) {
-    cand_raws_.push_back(v.raw());
-  }
-}
+      objects_(rule_.config().num_objects),
+      registers_(rule_.config().num_registers) {}
 
 void LaneSpace::state_of(const SimWorld& world, std::uint64_t* out) const {
   std::vector<std::uint64_t> shared;
@@ -196,121 +227,19 @@ void LaneSpace::state_of(const SimWorld& world, std::uint64_t* out) const {
   }
 }
 
-bool LaneSpace::fault_allowed(const std::uint64_t* shared,
-                              objects::ProcessId pid,
-                              objects::ObjectId obj) const {
-  if (cfg_.kind == model::FaultKind::kNone) return false;
-  if (!cfg_.object_faulty(obj)) return false;
-  // The state holds the capped count min(used, t), and capped == t
-  // exactly when used >= t; with t = ∞ the counts are 0 and never gate.
-  if (cfg_.t != model::kUnbounded &&
-      shared[objects_ + registers_ + obj] >= cfg_.t) {
-    return false;
-  }
-  if (pid != kAdversaryPid && !cfg_.faulting_processes.empty() &&
-      !cfg_.faulting_processes.contains(pid)) {
-    return false;
-  }
-  return true;
-}
-
 void LaneSpace::bump_fault(std::uint64_t* shared,
                            objects::ObjectId obj) const {
-  if (cfg_.t == model::kUnbounded) return;
+  const std::uint32_t t = rule_.config().t;
+  if (t == model::kUnbounded) return;
   std::uint64_t& w = shared[objects_ + registers_ + obj];
-  if (w < cfg_.t) ++w;
-}
-
-void LaneSpace::append_fault_choices(const std::uint64_t* shared,
-                                     objects::ProcessId pid,
-                                     const PendingOp& op,
-                                     std::vector<Choice>& out,
-                                     LaneCache& cache) const {
-  if (!fault_allowed(shared, pid, op.object)) return;
-  const std::uint64_t before = shared[op.object];
-  const std::uint64_t expected = op.expected.raw();
-  const std::uint64_t desired = op.desired.raw();
-  switch (cfg_.kind) {
-    case model::FaultKind::kOverriding:
-      if (immune_.object_immune(op.object)) {
-        ++cache.immunity_skips;
-        assert(!(before != expected && before != desired) &&
-               "A2 overriding-immunity certificate violated at runtime");
-        break;
-      }
-      ++cache.immunity_checks;
-      if (before != expected && before != desired) {
-        out.push_back({pid, true, 0});
-      }
-      break;
-    case model::FaultKind::kSilent:
-      if (before == expected && before != desired) {
-        out.push_back({pid, true, 0});
-      }
-      break;
-    case model::FaultKind::kInvisible:
-    case model::FaultKind::kNonresponsive:
-      out.push_back({pid, true, 0});
-      break;
-    case model::FaultKind::kArbitrary: {
-      const std::uint64_t after = before == expected ? desired : before;
-      for (std::uint32_t v = 0; v < cand_raws_.size(); ++v) {
-        if (cand_raws_[v] != after) out.push_back({pid, true, v});
-      }
-      break;
-    }
-    case model::FaultKind::kDataCorruption:
-    case model::FaultKind::kNone:
-      break;  // adversary steps / no per-operation faults
-  }
+  if (w < t) ++w;
 }
 
 void LaneSpace::enabled(const std::uint64_t* state, std::vector<Choice>& out,
                         LaneCache& cache) const {
   out.clear();
-  bool any_live = false;
-  for (std::uint32_t pid = 0; pid < n_; ++pid) {
-    const std::uint64_t pw = state[S_ + pid];
-    if (killed_of(pw)) continue;
-    const LaneMeta& m = arena_->meta(lane_of(pw));
-    if (m.done) continue;
-    any_live = true;
-    const PendingOp& op = m.op;
-    out.push_back({pid, false, 0});
-    // An access outside the layout is offered as the plain step (which
-    // throws when applied) and crash-before, the two choices that do not
-    // read the addressed word.
-    const bool in_range =
-        op.object < (op.type == OpType::kCas ? objects_ : registers_);
-    if (op.type == OpType::kCas && in_range) {
-      append_fault_choices(state, pid, op, out, cache);
-    }
-    if (cfg_.crash_budget > 0 && crashes_of(pw) < cfg_.crash_budget &&
-        m.can_crash) {
-      out.push_back({pid, false, 0, true});
-      if (!in_range) continue;
-      if (op.type == OpType::kCas) {
-        const std::uint64_t before = state[op.object];
-        if (before == op.expected.raw() && op.desired.raw() != before) {
-          out.push_back({pid, false, 1, true});
-        }
-      } else if (op.type == OpType::kRegWrite &&
-                 state[objects_ + op.object] != op.desired.raw()) {
-        out.push_back({pid, false, 1, true});
-      }
-    }
-  }
-  if (any_live && cfg_.allow_corruption_steps &&
-      cfg_.kind == model::FaultKind::kDataCorruption) {
-    const auto num_candidates = static_cast<std::uint32_t>(cand_raws_.size());
-    for (objects::ObjectId obj = 0; obj < objects_; ++obj) {
-      if (!fault_allowed(state, kAdversaryPid, obj)) continue;
-      for (std::uint32_t v = 0; v < num_candidates; ++v) {
-        if (cand_raws_[v] == state[obj]) continue;
-        out.push_back({kAdversaryPid, true, obj * num_candidates + v});
-      }
-    }
-  }
+  rule_.enabled(View{*this, state}, out, cache.immunity_checks,
+                cache.immunity_skips);
 }
 
 std::uint32_t LaneSpace::deliver(std::uint32_t lane, std::uint64_t returned,
@@ -340,80 +269,25 @@ std::uint32_t LaneSpace::crash(std::uint32_t lane, LaneCache& cache) const {
 
 void LaneSpace::apply(const std::uint64_t* state, const Choice& choice,
                       std::uint64_t* out, LaneCache& cache) const {
+  const StepOutcome o = rule_.outcome(View{*this, state}, choice);
   std::memcpy(out, state, stride() * sizeof(std::uint64_t));
-  if (choice.pid == kAdversaryPid) {
-    const auto num_candidates = static_cast<std::uint32_t>(cand_raws_.size());
-    const objects::ObjectId obj = choice.fault_variant / num_candidates;
-    out[obj] = cand_raws_[choice.fault_variant % num_candidates];
-    bump_fault(out, obj);
-    return;
+  // Objects sit at [0, O), registers at [O, O+R).
+  if (o.target == StepOutcome::Target::kObject) {
+    out[o.index] = o.written.raw();
+  } else if (o.target == StepOutcome::Target::kRegister) {
+    out[objects_ + o.index] = o.written.raw();
   }
-
+  if (o.charge) bump_fault(out, o.index);
+  if (choice.pid == kAdversaryPid) return;
   std::uint64_t& pw = out[S_ + choice.pid];
-  const std::uint32_t lane = lane_of(pw);
-  const PendingOp& op = arena_->meta(lane).op;
-  const bool cas = op.type == OpType::kCas;
-  // The addressed word: objects sit at [0, O), registers at [O, O+R).
-  const auto target = [&]() -> std::uint64_t& {
-    const std::uint32_t size = cas ? objects_ : registers_;
-    if (op.object >= size) throw_outside_layout(op, size);
-    return out[cas ? op.object : objects_ + op.object];
-  };
-
-  if (choice.crash) {
-    // Crash-after: the effect lands, the response is lost with the crash.
-    if (choice.fault_variant == 1 && (cas || op.type == OpType::kRegWrite)) {
-      std::uint64_t& word = target();
-      if (!cas || word == op.expected.raw()) word = op.desired.raw();
-    }
-    pw = pid_word(crash(lane, cache), crashes_of(pw) + 1, killed_of(pw));
-    return;
+  if (o.crash) {
+    pw = pid_word(crash(lane_of(pw), cache), crashes_of(pw) + 1,
+                  killed_of(pw));
+  } else if (o.kill) {
+    pw |= kKilledBit;
+  } else {
+    pw = with_lane(pw, deliver(lane_of(pw), o.returned.raw(), cache));
   }
-  std::uint64_t& word = target();
-
-  if (op.type == OpType::kRegRead) {
-    pw = with_lane(pw, deliver(lane, word, cache));
-    return;
-  }
-  if (op.type == OpType::kRegWrite) {
-    word = op.desired.raw();
-    pw = with_lane(pw, deliver(lane, model::Value::bottom().raw(), cache));
-    return;
-  }
-
-  assert(cas);
-  const std::uint64_t before = word;
-  const std::uint64_t after =
-      before == op.expected.raw() ? op.desired.raw() : before;
-  if (!choice.fault) {
-    word = after;
-    pw = with_lane(pw, deliver(lane, before, cache));
-    return;
-  }
-  bump_fault(out, op.object);
-  std::uint64_t returned = before;
-  switch (cfg_.kind) {
-    case model::FaultKind::kOverriding:
-      word = op.desired.raw();
-      break;
-    case model::FaultKind::kSilent:
-      break;  // content unchanged, output correct
-    case model::FaultKind::kInvisible:
-      word = after;
-      returned = before + 1;  // SimWorld's corrupted old value
-      break;
-    case model::FaultKind::kNonresponsive:
-      pw |= kKilledBit;  // the operation never responds: no step
-      return;
-    case model::FaultKind::kArbitrary:
-      word = cand_raws_.at(choice.fault_variant);
-      break;
-    case model::FaultKind::kDataCorruption:
-    case model::FaultKind::kNone:
-      assert(false && "not a per-operation fault kind");
-      return;
-  }
-  pw = with_lane(pw, deliver(lane, returned, cache));
 }
 
 template <typename Sink>
@@ -421,7 +295,7 @@ void LaneSpace::block_words(std::uint64_t pid_word, Sink&& sink) const {
   sink(kBlockSeparator);
   sink(killed_of(pid_word) ? 1 : 0);
   // The crash counter is in the block only when crashes are enabled.
-  if (cfg_.crash_budget > 0) sink(crashes_of(pid_word));
+  if (rule_.config().crash_budget > 0) sink(crashes_of(pid_word));
   const LaneMeta& m = arena_->meta(lane_of(pid_word));
   for (std::uint32_t i = 0; i < m.words_len; ++i) sink(m.words[i]);
 }
@@ -437,7 +311,7 @@ Fingerprint LaneSpace::block_hash(std::uint64_t pid_word,
   // past the cap (runaway scalar protocols) hash uncached.
   constexpr std::size_t kBlockMemoCap = std::size_t{1} << 21;
   const std::size_t idx =
-      ((std::size_t{lane_of(pid_word)} * (cfg_.crash_budget + 1) +
+      ((std::size_t{lane_of(pid_word)} * (rule_.config().crash_budget + 1) +
         crashes_of(pid_word))
        << 1) |
       (killed_of(pid_word) ? 1 : 0);
@@ -494,35 +368,7 @@ bool LaneSpace::terminal(const std::uint64_t* state) const {
 }
 
 TerminalVerdict LaneSpace::verdict(const std::uint64_t* state) const {
-  TerminalVerdict out;
-  bool any_killed = false;
-  std::optional<std::uint64_t> first;
-  for (std::uint32_t pid = 0; pid < n_; ++pid) {
-    const std::uint64_t pw = state[S_ + pid];
-    if (killed_of(pw)) {
-      any_killed = true;
-      continue;
-    }
-    const LaneMeta& m = arena_->meta(lane_of(pw));
-    if (!m.done) continue;
-    const std::uint64_t value = m.decision();
-    if (!std::binary_search(inputs_sorted_.begin(), inputs_sorted_.end(),
-                            value)) {
-      out.kind = ViolationKind::kInvalid;
-      return out;
-    }
-    if (first && *first != value) {
-      out.kind = ViolationKind::kInconsistent;
-      return out;
-    }
-    if (!first) first = value;
-  }
-  if (killed_is_violation_ && any_killed) {
-    out.kind = ViolationKind::kStalled;
-    return out;
-  }
-  out.agreed = first;
-  return out;
+  return rule_.judge(View{*this, state}, killed_is_violation_);
 }
 
 }  // namespace ff::sched

@@ -10,24 +10,26 @@
 //   [0 .. S)      shared words, exactly SimWorld::encode_shared()
 //   [S .. S+n)    per pid: lane | crashes << 32 | killed << 48
 //
-// LaneSpace is the exact mirror of SimWorld over that layout: enabled()
-// lists the same choices in the same order, apply() reaches the state
-// SimWorld::apply() reaches, encode() equals SimWorld::encode() word for
-// word and fingerprint() equals fingerprint_state(encode(world), sym).
-// tests/test_lane_space.cpp checks all four in lockstep against SimWorld.
+// LaneSpace steps that layout by the same StepRule (sched/step_rule.hpp)
+// that steps SimWorld, so enabled() lists the same choices in the same
+// order and apply() reaches the state SimWorld::apply() reaches; what it
+// keeps is the layout: the arena, the memo, and encode() equal to
+// SimWorld::encode() word for word, with fingerprint() equal to
+// fingerprint_state(encode(world), sym).  tests/test_lane_space.cpp
+// checks all of them in lockstep against SimWorld.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <vector>
 
 #include "sched/explore_common.hpp"
 #include "sched/explorer.hpp"
 #include "sched/reduce.hpp"
 #include "sched/sim_world.hpp"
+#include "sched/step_rule.hpp"
 
 namespace ff::sched {
 
@@ -168,18 +170,10 @@ struct LaneCache {
   }
 };
 
-/// Verdict of a terminal compact state, as detail::check_terminal
-/// decides it (same pid order and precedence); the human-readable
-/// detail comes from replaying the witness through SimWorld.
-struct TerminalVerdict {
-  std::optional<ViolationKind> kind;
-  std::optional<std::uint64_t> agreed;
-};
-
 class LaneSpace {
  public:
-  /// Steps the configuration of `root` (SimWorld's defaults applied);
-  /// `sym` selects the canonical fingerprint.
+  /// Steps by `root`'s step rule; `sym` selects the canonical
+  /// fingerprint.
   LaneSpace(const SimWorld& root, LaneArena& arena, bool sym,
             bool killed_is_violation);
 
@@ -213,16 +207,14 @@ class LaneSpace {
   void encode(const std::uint64_t* state, EncodedState& out) const;
 
   [[nodiscard]] bool terminal(const std::uint64_t* state) const;
+  /// The step rule's verdict on a terminal state; the human-readable
+  /// detail comes from replaying the witness through SimWorld.
   [[nodiscard]] TerminalVerdict verdict(const std::uint64_t* state) const;
 
  private:
-  [[nodiscard]] bool fault_allowed(const std::uint64_t* shared,
-                                   objects::ProcessId pid,
-                                   objects::ObjectId obj) const;
-  void append_fault_choices(const std::uint64_t* shared,
-                            objects::ProcessId pid, const PendingOp& op,
-                            std::vector<Choice>& out,
-                            LaneCache& cache) const;
+  /// A compact state as the step rule reads it.
+  struct View;
+
   void bump_fault(std::uint64_t* shared, objects::ObjectId obj) const;
   [[nodiscard]] std::uint32_t deliver(std::uint32_t lane,
                                       std::uint64_t returned,
@@ -235,16 +227,13 @@ class LaneSpace {
   void block_words(std::uint64_t pid_word, Sink&& sink) const;
 
   LaneArena* arena_;
-  SimConfig cfg_;
-  ProgramFacts immune_;  ///< empty unless immunity pruning applies
+  StepRule rule_;
   bool sym_;
   bool killed_is_violation_;
   std::uint32_t S_;
   std::uint32_t n_;
   std::uint32_t objects_;
   std::uint32_t registers_;
-  std::vector<std::uint64_t> inputs_sorted_;  ///< distinct input raws
-  std::vector<std::uint64_t> cand_raws_;      ///< arbitrary candidates
 };
 
 }  // namespace ff::sched

@@ -1,29 +1,43 @@
 #include "sched/sim_world.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <set>
-#include <stdexcept>
-#include <string>
+
+#include "sched/step_rule.hpp"
 
 namespace ff::sched {
 
-namespace {
+struct SimWorld::View {
+  const SimWorld& w;
 
-/// Deterministic invisible-fault corruptor used by the simulator: the
-/// returned old value is off by one, never equal to the true content.
-model::Value corrupt_return(model::Value before) {
-  return model::Value::of(before.raw() + 1);
-}
-
-}  // namespace
-
-void throw_outside_layout(const PendingOp& op, std::uint32_t size) {
-  throw std::out_of_range(
-      std::string(op.type == OpType::kCas ? "CAS object " : "register ") +
-      std::to_string(op.object) + " is outside the layout (" +
-      std::to_string(size) + ")");
-}
+  [[nodiscard]] std::uint32_t processes() const { return w.processes(); }
+  [[nodiscard]] PendingOp pending(objects::ProcessId pid) const {
+    return w.pending(pid);
+  }
+  [[nodiscard]] std::uint32_t crashes(objects::ProcessId pid) const {
+    return w.crashes_used_[pid];
+  }
+  [[nodiscard]] bool can_crash(objects::ProcessId pid) const {
+    return w.machines_[pid]->can_crash();
+  }
+  [[nodiscard]] bool killed(objects::ProcessId pid) const {
+    return w.killed_[pid];
+  }
+  [[nodiscard]] std::optional<std::uint64_t> decision(
+      objects::ProcessId pid) const {
+    if (!w.machines_[pid]->done()) return std::nullopt;
+    return w.machines_[pid]->decision();
+  }
+  [[nodiscard]] model::Value object(objects::ObjectId id) const {
+    return w.objects_[id];
+  }
+  [[nodiscard]] std::uint32_t faults(objects::ObjectId id) const {
+    return w.faults_used_[id];
+  }
+  [[nodiscard]] model::Value reg(objects::ObjectId id) const {
+    return w.registers_[id];
+  }
+};
 
 SimWorld::SimWorld(SimConfig config, const MachineFactory& factory,
                    std::vector<std::uint64_t> inputs)
@@ -50,6 +64,7 @@ SimWorld::SimWorld(SimConfig config, const MachineFactory& factory,
       }
     }
   }
+  rule_ = std::make_shared<const StepRule>(config_, facts_.get(), inputs_);
 }
 
 SimWorld::SimWorld(const SimWorld& other)
@@ -57,6 +72,7 @@ SimWorld::SimWorld(const SimWorld& other)
       inputs_(other.inputs_),
       facts_(other.facts_),
       prune_(other.prune_),  // counters are shared, not duplicated
+      rule_(other.rule_),
       objects_(other.objects_),
       registers_(other.registers_),
       faults_used_(other.faults_used_),
@@ -76,276 +92,50 @@ SimWorld& SimWorld::operator=(const SimWorld& other) {
 }
 
 PendingOp SimWorld::pending(objects::ProcessId pid) const {
-  if (killed_.at(pid) || machines_.at(pid)->done()) return PendingOp::none();
-  return machines_.at(pid)->next_op();
-}
-
-bool SimWorld::fault_allowed(objects::ProcessId pid,
-                             objects::ObjectId object) const {
-  if (config_.kind == model::FaultKind::kNone) return false;
-  if (!config_.object_faulty(object)) return false;
-  if (config_.t != model::kUnbounded && faults_used_[object] >= config_.t) {
-    return false;
-  }
-  if (pid != kAdversaryPid && !config_.faulting_processes.empty() &&
-      !config_.faulting_processes.contains(pid)) {
-    return false;
-  }
-  return true;
-}
-
-void SimWorld::append_fault_choices(objects::ProcessId pid,
-                                    const PendingOp& op,
-                                    std::vector<Choice>& out) const {
-  if (!fault_allowed(pid, op.object)) return;
-  const model::Value before = objects_[op.object];
-  const model::CasCall call{op.expected, op.desired};
-  switch (config_.kind) {
-    case model::FaultKind::kOverriding:
-      // Static pruning first: when the analyzer proved this object
-      // overriding-immune (every reachable CAS pairs a ⊥ expected with
-      // one uniform desired value), the manifest condition below is
-      // unsatisfiable and the branch can be skipped without evaluating
-      // it.  The debug build re-checks the certificate dynamically.
-      if (config_.use_immunity_pruning && facts_ != nullptr &&
-          facts_->object_immune(op.object)) {
-        prune_->skips.fetch_add(1, std::memory_order_relaxed);
-        assert(!(before != op.expected && before != op.desired) &&
-               "A2 overriding-immunity certificate violated at runtime");
-        break;
-      }
-      prune_->checks.fetch_add(1, std::memory_order_relaxed);
-      // Manifests only when the comparison would fail AND the written
-      // value actually changes the content (Definition 1: the outcome
-      // must violate Φ; overwriting a value with itself does not).
-      if (before != op.expected && before != op.desired) {
-        out.push_back({pid, true, 0});
-      }
-      break;
-    case model::FaultKind::kSilent:
-      // Manifests only when the comparison would succeed and the write
-      // would have changed the content.
-      if (before == op.expected && before != op.desired) {
-        out.push_back({pid, true, 0});
-      }
-      break;
-    case model::FaultKind::kInvisible:
-      out.push_back({pid, true, 0});  // corrupted output always deviates
-      break;
-    case model::FaultKind::kNonresponsive:
-      out.push_back({pid, true, 0});  // the operation never returns
-      break;
-    case model::FaultKind::kArbitrary: {
-      const model::CasEffect correct = model::cas_apply(before, call);
-      for (std::uint32_t v = 0;
-           v < config_.arbitrary_candidates.size(); ++v) {
-        if (config_.arbitrary_candidates[v] != correct.after) {
-          out.push_back({pid, true, v});
-        }
-      }
-      break;
-    }
-    case model::FaultKind::kDataCorruption:
-      // Handled via adversary corruption steps, not per-operation faults.
-      break;
-    case model::FaultKind::kNone:
-      break;
-  }
+  const StepMachine& m = *machines_.at(pid);
+  return killed_[pid] || m.done() ? PendingOp::none() : m.next_op();
 }
 
 std::vector<Choice> SimWorld::enabled() const {
   std::vector<Choice> out;
-  bool any_live = false;
-  for (std::uint32_t pid = 0; pid < machines_.size(); ++pid) {
-    const PendingOp op = pending(pid);
-    if (op.type == OpType::kNone) continue;
-    any_live = true;
-    out.push_back({pid, false, 0});
-    // An access outside the layout is offered as the plain step (which
-    // throws in apply()) and crash-before, the two choices that do not
-    // read the addressed word.
-    const bool in_range =
-        op.object < (op.type == OpType::kCas ? objects_.size()
-                                             : registers_.size());
-    // Register operations are always correct; only CAS steps may fault.
-    if (op.type == OpType::kCas && in_range) {
-      append_fault_choices(pid, op, out);
-    }
-    // Crash branches (crash_budget > 0 and a recoverable machine only).
-    // Variant 0 = crash-before: the pending op never reaches the object.
-    // Variant 1 = crash-after: the op's effect lands but the response is
-    // lost with the crash — offered only when the effect would actually
-    // change shared state (a lost response to a no-op is observationally
-    // identical to crash-before, mirroring the Definition 1 manifest
-    // pruning); reads never change shared state, so they only get
-    // variant 0.
-    if (config_.crash_budget > 0 &&
-        crashes_used_[pid] < config_.crash_budget &&
-        machines_[pid]->can_crash()) {
-      out.push_back({pid, false, 0, true});
-      if (!in_range) continue;
-      if (op.type == OpType::kCas) {
-        const model::CasEffect effect = model::cas_apply(
-            objects_[op.object], model::CasCall{op.expected, op.desired});
-        if (effect.after != objects_[op.object]) {
-          out.push_back({pid, false, 1, true});
-        }
-      } else if (op.type == OpType::kRegWrite &&
-                 registers_[op.object] != op.desired) {
-        out.push_back({pid, false, 1, true});
-      }
-    }
-  }
-  if (any_live && config_.allow_corruption_steps &&
-      config_.kind == model::FaultKind::kDataCorruption) {
-    const auto num_candidates =
-        static_cast<std::uint32_t>(config_.arbitrary_candidates.size());
-    for (objects::ObjectId obj = 0; obj < config_.num_objects; ++obj) {
-      if (!fault_allowed(kAdversaryPid, obj)) continue;
-      for (std::uint32_t v = 0; v < num_candidates; ++v) {
-        // A corruption that does not change the content is not a fault.
-        if (config_.arbitrary_candidates[v] == objects_[obj]) continue;
-        out.push_back({kAdversaryPid, true, obj * num_candidates + v});
-      }
-    }
-  }
+  std::uint64_t checks = 0;
+  std::uint64_t skips = 0;
+  rule_->enabled(View{*this}, out, checks, skips);
+  if (checks != 0) prune_->checks.fetch_add(checks, std::memory_order_relaxed);
+  if (skips != 0) prune_->skips.fetch_add(skips, std::memory_order_relaxed);
   return out;
 }
 
 void SimWorld::apply(const Choice& choice) {
-  if (choice.pid == kAdversaryPid) {
-    const auto num_candidates =
-        static_cast<std::uint32_t>(config_.arbitrary_candidates.size());
-    const objects::ObjectId obj = choice.fault_variant / num_candidates;
-    const std::uint32_t v = choice.fault_variant % num_candidates;
-    assert(fault_allowed(kAdversaryPid, obj));
-    const model::Value displaced = objects_[obj];
-    objects_[obj] = config_.arbitrary_candidates[v];
-    ++faults_used_[obj];
-    ++total_steps_;
-    if (config_.sink != nullptr) {
-      faults::CasEvent ev;
-      ev.object = obj;
-      ev.caller = kAdversaryPid;
-      ev.fired = model::FaultKind::kDataCorruption;
-      ev.manifested = true;
-      ev.obs = {displaced, objects_[obj], model::Value::bottom()};
-      config_.sink->on_cas(ev);
-    }
-    return;
-  }
-
-  StepMachine& machine = *machines_.at(choice.pid);
-  assert(!killed_[choice.pid] && !machine.done());
-  const PendingOp op = machine.next_op();
+  const StepOutcome o = rule_->outcome(View{*this}, choice);
   ++total_steps_;
-  // The addressed word's index, checked before any access.
-  const auto index = [&op](std::size_t size) {
-    if (op.object >= size) {
-      throw_outside_layout(op, static_cast<std::uint32_t>(size));
-    }
-    return op.object;
-  };
-
-  if (choice.crash) {
-    assert(config_.crash_budget > 0 &&
-           crashes_used_[choice.pid] < config_.crash_budget);
-    assert(machine.can_crash());
-    if (choice.fault_variant == 1) {
-      // Crash-after: the operation's effect reaches the object, but the
-      // process crashes before observing the response.
-      if (op.type == OpType::kCas) {
-        const model::Value before = objects_[index(objects_.size())];
-        const model::CasEffect effect = model::cas_apply(
-            before, model::CasCall{op.expected, op.desired});
-        objects_[op.object] = effect.after;
-        if (config_.sink != nullptr) {
-          faults::CasEvent ev;
-          ev.object = op.object;
-          ev.caller = choice.pid;
-          ev.call = {op.expected, op.desired};
-          ev.obs = {before, effect.after, effect.returned};
-          config_.sink->on_cas(ev);
-        }
-      } else if (op.type == OpType::kRegWrite) {
-        registers_[index(registers_.size())] = op.desired;
-      }
-    }
+  if (o.target == StepOutcome::Target::kObject) {
+    objects_[o.index] = o.written;
+  } else if (o.target == StepOutcome::Target::kRegister) {
+    registers_[o.index] = o.written;
+  }
+  if (o.charge) ++faults_used_[o.index];
+  if (o.target == StepOutcome::Target::kObject && config_.sink != nullptr) {
+    faults::CasEvent ev;
+    ev.object = o.index;
+    ev.caller = choice.pid;
+    ev.call = o.call;
+    ev.obs = o.obs;
+    ev.fired = o.fired;
+    // Fault branches only exist when they manifest (Definition 1).
+    ev.manifested = o.fired != model::FaultKind::kNone;
+    config_.sink->on_cas(ev);
+  }
+  if (choice.pid == kAdversaryPid) return;
+  StepMachine& machine = *machines_[choice.pid];
+  if (o.crash) {
     ++crashes_used_[choice.pid];
     machine.crash();
-    return;
+  } else if (o.kill) {
+    killed_[choice.pid] = true;
+  } else {
+    machine.deliver(o.returned);
   }
-
-  if (op.type == OpType::kRegRead) {
-    assert(!choice.fault);
-    machine.deliver(registers_[index(registers_.size())]);
-    return;
-  }
-  if (op.type == OpType::kRegWrite) {
-    assert(!choice.fault);
-    registers_[index(registers_.size())] = op.desired;
-    machine.deliver(model::Value::bottom());
-    return;
-  }
-
-  assert(op.type == OpType::kCas);
-  const model::Value before = objects_[index(objects_.size())];
-  const model::CasCall call{op.expected, op.desired};
-
-  faults::CasEvent ev;
-  ev.object = op.object;
-  ev.caller = choice.pid;
-  ev.call = call;
-  ev.fired = choice.fault ? config_.kind : model::FaultKind::kNone;
-  ev.manifested = choice.fault;  // fault branches only exist when they
-                                 // manifest (Definition 1 pruning)
-
-  if (!choice.fault) {
-    const model::CasEffect effect = model::cas_apply(before, call);
-    objects_[op.object] = effect.after;
-    ev.obs = {before, effect.after, effect.returned};
-    if (config_.sink != nullptr) config_.sink->on_cas(ev);
-    machine.deliver(effect.returned);
-    return;
-  }
-
-  assert(fault_allowed(choice.pid, op.object));
-  ++faults_used_[op.object];
-  switch (config_.kind) {
-    case model::FaultKind::kOverriding:
-      objects_[op.object] = op.desired;
-      ev.obs = {before, op.desired, before};
-      machine.deliver(before);
-      break;
-    case model::FaultKind::kSilent:
-      ev.obs = {before, before, before};
-      machine.deliver(before);  // content unchanged, output correct
-      break;
-    case model::FaultKind::kInvisible: {
-      const model::CasEffect effect = model::cas_apply(before, call);
-      objects_[op.object] = effect.after;
-      ev.obs = {before, effect.after, corrupt_return(before)};
-      machine.deliver(corrupt_return(before));
-      break;
-    }
-    case model::FaultKind::kNonresponsive:
-      killed_[choice.pid] = true;  // the operation never responds
-      ev.obs = {before, before, model::Value::bottom()};
-      break;
-    case model::FaultKind::kArbitrary: {
-      const model::Value garbage =
-          config_.arbitrary_candidates.at(choice.fault_variant);
-      objects_[op.object] = garbage;
-      ev.obs = {before, garbage, before};
-      machine.deliver(before);
-      break;
-    }
-    case model::FaultKind::kDataCorruption:
-    case model::FaultKind::kNone:
-      assert(false && "not a per-operation fault kind");
-      break;
-  }
-  if (config_.sink != nullptr) config_.sink->on_cas(ev);
 }
 
 void SimWorld::apply_with_undo(const Choice& choice, StepUndo& undo) {
@@ -390,6 +180,10 @@ bool SimWorld::any_killed() const {
     if (k) return true;
   }
   return false;
+}
+
+TerminalVerdict SimWorld::verdict(bool killed_is_violation) const {
+  return rule_->judge(View{*this}, killed_is_violation);
 }
 
 std::vector<std::optional<std::uint64_t>> SimWorld::decisions() const {

@@ -4,15 +4,12 @@
 // fault accounting for one execution prefix.  The scheduler/adversary is
 // external: at each state, enabled() lists every legal Choice — which
 // process steps next, and whether (and how) a fault fires on that step —
-// and apply() advances the world by one such choice.  SimWorld is
-// copyable (machines are cloned), which is what lets the explorer
-// snapshot states for depth-first search, and encodable, which is what
-// lets it memoize visited states.
-//
-// Fault branching follows Definition 1 exactly: a fault choice is only
-// enabled when its outcome would differ from the correct outcome (an
-// overriding fault on a CAS whose comparison succeeds anyway is not a
-// fault, and is not offered as a branch — this also prunes the search).
+// and apply() advances the world by one such choice.  Which choices are
+// legal and what each does is sched/step_rule.hpp's StepRule, shared with
+// the compact states of sched/lane_space.hpp; SimWorld keeps the state
+// layout.  It is copyable (machines are cloned) and encodable: the
+// fuzzer, witness replay and the shortest-witness search step SimWorlds,
+// and the exhaustive engines root their compact states in one.
 #pragma once
 
 #include <atomic>
@@ -31,14 +28,11 @@
 
 namespace ff::sched {
 
+class StepRule;
+struct TerminalVerdict;
+
 /// Pseudo-process id for adversary data-corruption steps.
 inline constexpr objects::ProcessId kAdversaryPid = 0xFFFFFFFFu;
-
-/// Throws the std::out_of_range that SimWorld::apply and LaneSpace::apply
-/// raise for a step addressing a word outside the layout: op.object is
-/// not below `size`, the count of CAS objects (a CAS) or of registers.
-[[noreturn]] void throw_outside_layout(const PendingOp& op,
-                                       std::uint32_t size);
 
 struct SimConfig {
   std::uint32_t num_objects = 1;
@@ -77,8 +71,8 @@ struct SimConfig {
   bool use_immunity_pruning = true;
   /// Optional CAS-event recorder (borrowed).  Only meaningful for LINEAR
   /// drives of one world — random walks, adversaries, witness replays.
-  /// The DFS explorer interleaves branches through copies that share
-  /// this pointer; leave it null there.
+  /// Copies of a world share this pointer, so a search that steps
+  /// several copies interleaves their events; leave it null there.
   faults::TraceSink* sink = nullptr;
 
   [[nodiscard]] bool object_faulty(objects::ObjectId id) const {
@@ -104,8 +98,9 @@ class SimWorld {
   /// outside the layout (a corrupted value used as an index).
   void apply(const Choice& choice);
 
-  /// Saved pre-step state for the explorers' expand-and-roll-back fast
-  /// path.  One step changes at most: the shared vectors, one kill flag,
+  /// Saved pre-step state for stepping a world and rolling it back
+  /// (cycle_scan.hpp's rederive, perfbench's per-layer sample).  One
+  /// step changes at most: the shared vectors, one kill flag,
   /// the step counter, and ONE machine — so a child that turns out to be
   /// an already-visited duplicate costs one machine clone instead of a
   /// full world copy (which clones every machine and every vector).
@@ -138,6 +133,9 @@ class SimWorld {
 
   /// Decisions of the completed processes (nullopt for killed ones).
   [[nodiscard]] std::vector<std::optional<std::uint64_t>> decisions() const;
+
+  /// The step rule's verdict on this (terminal) world.
+  [[nodiscard]] TerminalVerdict verdict(bool killed_is_violation) const;
 
   /// Serializes the full semantic state for memoization.  Layout:
   /// shared prefix (encode_shared) followed by one block per process
@@ -199,6 +197,9 @@ class SimWorld {
     return *machines_.at(pid);
   }
   [[nodiscard]] const SimConfig& config() const noexcept { return config_; }
+  /// The step rule, built once from config() and facts(); shared by
+  /// every copy of this world.
+  [[nodiscard]] const StepRule& rule() const noexcept { return *rule_; }
 
   /// Next pending operation of a live process (kNone when done/killed).
   [[nodiscard]] PendingOp pending(objects::ProcessId pid) const;
@@ -209,8 +210,8 @@ class SimWorld {
   }
 
   /// A2 immunity-pruning counters, shared (monotone) across every copy
-  /// of this world — the explorers copy worlds per branch, so per-copy
-  /// counters would double count.  `checks` counts overriding-fault
+  /// of this world — a search that copies worlds per branch would double
+  /// count per-copy counters.  `checks` counts overriding-fault
   /// enabling conditions evaluated the brute-force way, `skips` the ones
   /// pruned by a proved-immune object.  Harvest as deltas around a
   /// search (ExploreResult::immunity_checks / immunity_skips).
@@ -222,11 +223,8 @@ class SimWorld {
   }
 
  private:
-  /// Enumerates manifesting fault variants for the pending CAS of `pid`.
-  void append_fault_choices(objects::ProcessId pid, const PendingOp& op,
-                            std::vector<Choice>& out) const;
-  [[nodiscard]] bool fault_allowed(objects::ProcessId pid,
-                                   objects::ObjectId object) const;
+  /// This world's state as the step rule reads it.
+  struct View;
 
   struct PruneCounters {
     // ff-lint: allow(R1): checker-internal prune tally, never protocol-visible
@@ -239,6 +237,7 @@ class SimWorld {
   std::vector<std::uint64_t> inputs_;
   std::shared_ptr<const ProgramFacts> facts_;  ///< from the factory
   std::shared_ptr<PruneCounters> prune_;       ///< shared by all copies
+  std::shared_ptr<const StepRule> rule_;       ///< shared by all copies
   std::vector<std::unique_ptr<StepMachine>> machines_;
   std::vector<model::Value> objects_;
   std::vector<model::Value> registers_;

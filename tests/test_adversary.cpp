@@ -5,6 +5,7 @@
 
 #include "legacy/machines.hpp"
 #include "hierarchy/consensus_number.hpp"
+#include "proto/registry.hpp"
 #include "sched/adversary.hpp"
 
 namespace ff {
@@ -70,6 +71,17 @@ TEST(CoveringAdversary, DefeatsFPlusOneRunWithOnlyFObjects) {
     EXPECT_TRUE(result.claim20_held) << "f=" << f;
     EXPECT_TRUE(result.disagreement) << "f=" << f;
   }
+}
+
+TEST(CoveringAdversary, NoFaultWhereNoneManifests) {
+  // Every tas process sets the bit with CAS(O0, ⊥, 1).  Once p0 has set
+  // it, p1's CAS finds O0 already holding 1, so an overriding fault
+  // would leave the outcome inside Φ (Definition 1): it is no fault, and
+  // costs none.
+  const auto factory = proto::machine_factory("tas", proto::Params{{"n", 3}});
+  const auto result = run_covering_adversary(*factory, 1, inputs(3));
+  ASSERT_EQ(result.faults_per_object.size(), 1u);
+  for (const auto count : result.faults_per_object) EXPECT_EQ(count, 0u);
 }
 
 TEST(CoveringAdversary, ProducesAuditableLog) {

@@ -1,12 +1,19 @@
 // Unit tests for the model layer: CAS sequential specification, deviating
-// postconditions Φ′, observation classification, and value packing.
+// postconditions Φ′, observation classification, and value packing; and
+// Definition 1 as the simulators' step rule applies it.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include "model/cas_semantics.hpp"
 #include "model/cas_triples.hpp"
 #include "model/fault_kind.hpp"
 #include "model/tolerance.hpp"
 #include "model/value.hpp"
+#include "sched/step_rule.hpp"
 
 namespace ff::model {
 namespace {
@@ -248,6 +255,198 @@ TEST(FaultKindTraits, Responsiveness) {
   EXPECT_TRUE(is_responsive(FaultKind::kOverriding));
   EXPECT_TRUE(is_responsive(FaultKind::kSilent));
   EXPECT_FALSE(is_responsive(FaultKind::kNonresponsive));
+}
+
+// --- Definition 1 in the simulators' step rule ------------------------------
+//
+// The engines offer a fault branch only where the fault manifests: its Φ′
+// outcome violates Φ.  These tests drive sched::StepRule over one process,
+// one object and one register, with every value drawn from {⊥, 1, 2, 3}.
+
+const std::vector<Value> kDomain = {kBot, Value::of(1), Value::of(2),
+                                    Value::of(3)};
+
+/// The state the step rule reads: one live, crashable process whose next
+/// step is `op`.
+struct OneStepView {
+  sched::PendingOp op;
+  Value content;         ///< object 0
+  Value register_value;  ///< register 0
+
+  [[nodiscard]] std::uint32_t processes() const { return 1; }
+  [[nodiscard]] sched::PendingOp pending(objects::ProcessId) const {
+    return op;
+  }
+  [[nodiscard]] std::uint32_t crashes(objects::ProcessId) const { return 0; }
+  [[nodiscard]] bool can_crash(objects::ProcessId) const { return true; }
+  [[nodiscard]] bool killed(objects::ProcessId) const { return false; }
+  [[nodiscard]] std::optional<std::uint64_t> decision(
+      objects::ProcessId) const {
+    return std::nullopt;
+  }
+  [[nodiscard]] Value object(objects::ObjectId) const { return content; }
+  [[nodiscard]] std::uint32_t faults(objects::ObjectId) const { return 0; }
+  [[nodiscard]] Value reg(objects::ObjectId) const { return register_value; }
+};
+
+sched::StepRule rule_for(FaultKind kind, std::uint32_t crash_budget = 0) {
+  sched::SimConfig config;
+  config.num_registers = 1;
+  config.kind = kind;
+  config.arbitrary_candidates = kDomain;
+  config.allow_corruption_steps = kind == FaultKind::kDataCorruption;
+  config.crash_budget = crash_budget;
+  return sched::StepRule(config, nullptr, {1, 2, 3});
+}
+
+std::vector<sched::Choice> enabled(const sched::StepRule& rule,
+                                   const OneStepView& view) {
+  std::vector<sched::Choice> out;
+  std::uint64_t checks = 0;
+  std::uint64_t skips = 0;
+  rule.enabled(view, out, checks, skips);
+  return out;
+}
+
+/// Every observation over the domain that starts from `before` and
+/// satisfies Φ′ of `kind` without satisfying Φ.
+std::vector<CasObservation> manifesting(FaultKind kind, Value before,
+                                        const CasCall& call) {
+  std::vector<CasObservation> out;
+  for (const Value after : kDomain) {
+    for (const Value returned : kDomain) {
+      const CasObservation obs{before, after, returned};
+      if (satisfies_phi_prime(kind, obs, call) && !satisfies_phi(obs, call)) {
+        out.push_back(obs);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(Definition1, OfferedFaultsManifestAndOnlyThey) {
+  for (const FaultKind kind :
+       {FaultKind::kOverriding, FaultKind::kSilent, FaultKind::kInvisible,
+        FaultKind::kArbitrary, FaultKind::kNonresponsive}) {
+    const sched::StepRule rule = rule_for(kind);
+    for (const Value before : kDomain) {
+      for (const Value expected : kDomain) {
+        for (const Value desired : kDomain) {
+          const CasCall call{expected, desired};
+          const OneStepView view{sched::PendingOp::cas(0, expected, desired),
+                                 before, kBot};
+          const std::string label =
+              std::string(to_string(kind)) + " R'=" + before.to_string() +
+              " exp=" + expected.to_string() + " val=" + desired.to_string();
+          const std::vector<sched::Choice> out = enabled(rule, view);
+          ASSERT_FALSE(out.empty()) << label;
+          EXPECT_EQ(out.front(), (sched::Choice{0, false, 0})) << label;
+
+          std::vector<CasObservation> offered;
+          for (std::size_t i = 1; i < out.size(); ++i) {
+            ASSERT_TRUE(out[i].fault) << label;
+            const sched::StepOutcome o = rule.outcome(view, out[i]);
+            EXPECT_TRUE(o.charge) << label;
+            if (kind == FaultKind::kNonresponsive) {
+              EXPECT_TRUE(o.kill) << label;  // it does not respond
+              continue;
+            }
+            EXPECT_FALSE(o.kill) << label;
+            EXPECT_EQ(o.obs.before, before) << label;
+            EXPECT_TRUE(satisfies_phi_prime(kind, o.obs, call)) << label;
+            EXPECT_FALSE(satisfies_phi(o.obs, call)) << label;
+            offered.push_back(o.obs);
+          }
+
+          const std::vector<CasObservation> deviations =
+              manifesting(kind, before, call);
+          switch (kind) {
+            case FaultKind::kOverriding:
+            case FaultKind::kSilent:
+              // Φ′ fixes the whole outcome: offered iff it violates Φ.
+              EXPECT_EQ(offered, deviations) << label;
+              break;
+            case FaultKind::kArbitrary:
+              // Φ′ fixes the output: every candidate written, in
+              // candidate order, whose outcome violates Φ.
+              EXPECT_EQ(offered, deviations) << label;
+              for (std::size_t i = 1; i < out.size(); ++i) {
+                EXPECT_EQ(offered[i - 1].after,
+                          kDomain[out[i].fault_variant])
+                    << label;
+              }
+              break;
+            case FaultKind::kInvisible:
+              // Φ′ fixes the content only; the one deviating output
+              // always violates Φ.
+              ASSERT_EQ(offered.size(), 1u) << label;
+              EXPECT_EQ(offered.front().returned, invisible_return(before))
+                  << label;
+              break;
+            case FaultKind::kNonresponsive:
+              EXPECT_EQ(out.size(), 2u) << label;
+              break;
+            default:
+              break;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Definition1, CrashAfterOnlyWhereTheEffectChangesState) {
+  const sched::StepRule rule = rule_for(FaultKind::kNone, 1);
+  const sched::Choice before_crash{0, false, 0, true};
+  const sched::Choice after_crash{0, false, 1, true};
+  for (const Value content : kDomain) {
+    for (const Value expected : kDomain) {
+      for (const Value desired : kDomain) {
+        const OneStepView cas{sched::PendingOp::cas(0, expected, desired),
+                              content, kBot};
+        const bool changes =
+            cas_apply(content, {expected, desired}).after != content;
+        std::vector<sched::Choice> want = {{0, false, 0}, before_crash};
+        if (changes) want.push_back(after_crash);
+        EXPECT_EQ(enabled(rule, cas), want);
+        if (changes) {
+          const sched::StepOutcome o = rule.outcome(cas, after_crash);
+          EXPECT_TRUE(o.crash);
+          EXPECT_EQ(o.written, desired);
+        }
+      }
+    }
+    for (const Value desired : kDomain) {
+      const OneStepView write{sched::PendingOp::reg_write(0, desired), kBot,
+                              content};
+      std::vector<sched::Choice> want = {{0, false, 0}, before_crash};
+      if (content != desired) want.push_back(after_crash);
+      EXPECT_EQ(enabled(rule, write), want);
+    }
+    const OneStepView read{sched::PendingOp::reg_read(0), kBot, content};
+    EXPECT_EQ(enabled(rule, read),
+              (std::vector<sched::Choice>{{0, false, 0}, before_crash}));
+  }
+}
+
+TEST(Definition1, CorruptionOnlyWhereItChangesTheContent) {
+  const sched::StepRule rule = rule_for(FaultKind::kDataCorruption);
+  for (const Value content : kDomain) {
+    for (const Value expected : kDomain) {
+      for (const Value desired : kDomain) {
+        const OneStepView view{sched::PendingOp::cas(0, expected, desired),
+                               content, kBot};
+        // The CAS itself behaves per spec: no per-operation fault.
+        std::vector<sched::Choice> want = {{0, false, 0}};
+        for (std::uint32_t c = 0; c < kDomain.size(); ++c) {
+          if (kDomain[c] != content) {
+            want.push_back({sched::kAdversaryPid, true, c});
+          }
+        }
+        EXPECT_EQ(enabled(rule, view), want);
+      }
+    }
+  }
 }
 
 TEST(FaultKindTraits, Structure) {

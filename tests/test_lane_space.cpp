@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -123,7 +124,11 @@ std::vector<Choice> check_state(const LaneSpace& space, LaneCache& cache,
     const TerminalVerdict verdict = space.verdict(state.data());
     EXPECT_EQ(verdict.kind, kind) << label;
     if (!kind) {
-      EXPECT_EQ(verdict.agreed, detail::agreed_value(world)) << label;
+      std::optional<std::uint64_t> first_decided;
+      for (const auto& d : world.decisions()) {
+        if (d && !first_decided) first_decided = d;
+      }
+      EXPECT_EQ(verdict.agreed, first_decided) << label;
     }
   }
 
