@@ -1,6 +1,6 @@
 // B6 — throughput of the batched owner-computes frontier explorer.
 //
-// Three questions feed the BENCH trajectory:
+// Two questions feed the BENCH trajectory:
 //   * How fast is the frontier engine, on every hardware thread, against
 //     the sequential DFS on one thread on the reference instance (staged
 //     f=1 t=2, three distinct inputs — symmetry-reduced, so the
@@ -12,9 +12,6 @@
 //     from the bar (scripts/bench_gate.py).
 //   * Does the frontier census stay equal to the DFS's, the oracle, while
 //     it runs?  Every repetition compares them with census_equal.
-//   * Is the disk-spill path free of census drift?  A forced-spill run
-//     (mem_limit_bytes = 1: every wave spills) must reproduce the
-//     in-memory census exactly while actually writing runs.
 //
 // Both sides of every pair are verify::JobSpecs run through
 // verify::instantiate()/execute(), differing only in the engine.
@@ -28,7 +25,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -93,20 +89,6 @@ void BM_FrontierExploreStaged(benchmark::State& state) {
   run_reference(state, reference_spec(verify::Engine::kFrontier));
 }
 BENCHMARK(BM_FrontierExploreStaged)->Unit(benchmark::kMillisecond);
-
-void BM_FrontierForcedSpill(benchmark::State& state) {
-  // Same instance with a one-byte watermark: every wave spills, so this
-  // measures the sort + run-write + merge-join overhead end to end.
-  const auto dir =
-      std::filesystem::temp_directory_path() / "ffb6_bm_spill";
-  verify::JobSpec spec = reference_spec(verify::Engine::kFrontier);
-  spec.spill_dir = dir.string();
-  spec.mem_limit_bytes = 1;
-  run_reference(state, spec);
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
-}
-BENCHMARK(BM_FrontierForcedSpill)->Unit(benchmark::kMillisecond);
 
 // --- JSON report mode ------------------------------------------------------
 
@@ -180,33 +162,6 @@ void emit_throughput(util::JsonWriter& w, std::uint64_t reps) {
             << "x) over " << ratios.size() << " paired rounds\n";
 }
 
-/// Forced-spill parity: mem_limit_bytes = 1 spills every wave; the
-/// census must be bit-equal to the in-memory frontier run AND runs must
-/// actually have been written (else the spill path went untested).
-void emit_spill_parity(util::JsonWriter& w) {
-  const verify::Report in_memory = verify::execute(
-      verify::instantiate(reference_spec(verify::Engine::kFrontier)));
-
-  const auto dir = std::filesystem::temp_directory_path() / "ffb6_spill";
-  verify::JobSpec spec = reference_spec(verify::Engine::kFrontier);
-  spec.spill_dir = dir.string();
-  spec.mem_limit_bytes = 1;
-  const verify::Report spilled =
-      verify::execute(verify::instantiate(spec));
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
-
-  w.key("spill").begin_object();
-  w.kv("seconds", report_seconds(spilled));
-  w.kv("spill_runs", spilled.frontier->spill_runs);
-  w.kv("spilled_records", spilled.frontier->spilled_records);
-  w.kv("spill_bytes", spilled.frontier->spill_bytes);
-  w.kv("peak_bytes", spilled.peak_bytes);
-  w.kv("spill_parity", census_equal(spilled, in_memory) &&
-                           spilled.frontier->spill_runs > 0);
-  w.end_object();
-}
-
 int write_report(const std::string& path, bool smoke) {
   const std::uint64_t reps = smoke ? 7 : 15;
 
@@ -215,7 +170,6 @@ int write_report(const std::string& path, bool smoke) {
   w.kv("bench", "B6");
   w.kv("smoke", smoke);
   emit_throughput(w, reps);
-  emit_spill_parity(w);
   w.end_object();
 
   std::ofstream out(path);

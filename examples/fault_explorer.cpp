@@ -5,10 +5,10 @@
 // of correctness or a concrete violating execution, replayed step by step.
 //
 // Every run is described by a verify::JobSpec and executed through
-// verify::run() — the same canonical job layer the benches, the
-// differential tests and the future ffd daemon use — so a run is
-// hashable: pass --cache-dir and an identical job is answered from the
-// persistent census cache instead of re-explored (DESIGN.md §3j).
+// verify::run() — the same canonical job layer the benches, perfbench
+// and the differential tests use — so a run is hashable: pass
+// --cache-dir and an identical job is answered from the persistent
+// census cache instead of re-explored (DESIGN.md §3j).
 //
 //   $ ./fault_explorer --list-protocols
 //   $ ./fault_explorer --protocol staged --f 1 --t 1 --n 3 --kind overriding
@@ -69,11 +69,6 @@ void print_usage() {
       "              (DESIGN.md §3i)\n"
       "  --threads   frontier worker threads;\n"
       "              0 = one per hardware thread                (default 0)\n"
-      "  --spill-dir frontier only: directory for sorted census spill runs\n"
-      "              (witnesses are re-derived through the runs)\n"
-      "  --mem-limit-mb  frontier only: in-memory watermark in MiB over the\n"
-      "              fingerprint tables; exceeded ⇒ spill to --spill-dir\n"
-      "              (0 = never spill)                          (default 0)\n"
       "  --no-symmetry    disable process-symmetry reduction (explore one\n"
       "              state per permutation orbit — DESIGN.md §3d);\n"
       "              also disables the fuzzer's canonical novelty signal\n"
@@ -256,9 +251,6 @@ verify::JobSpec spec_from_cli(const util::Cli& cli) {
   std::string engine = cli.get_string("engine", "dfs");
   if (cli.has("fuzz")) engine = "fuzz";
   spec.engine = verify::engine_from_string(engine);
-  spec.spill_dir = cli.get_string("spill-dir", "");
-  spec.mem_limit_bytes =
-      cli.get_uint("mem-limit-mb", 0) * (std::uint64_t{1} << 20);
 
   spec.seed = cli.get_uint("seed", 1);
   spec.fuzz_steps = cli.get_uint("fuzz-steps", 2'000'000);
@@ -354,11 +346,6 @@ int report_explore(const verify::JobSpec& spec,
               << " memo_hits=" << report.frontier->memo_hits
               << " misses_stepped=" << report.frontier->batched_lanes
               << " lanes=" << report.frontier->arena_lanes << '\n';
-    if (report.frontier->spill_runs > 0) {
-      std::cout << "spill          : runs=" << report.frontier->spill_runs
-                << " records=" << report.frontier->spilled_records
-                << " bytes=" << report.frontier->spill_bytes << '\n';
-    }
   }
   if (report.immunity_skips > 0) {
     std::cout << "A2 pruning     : " << report.immunity_skips

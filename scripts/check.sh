@@ -36,9 +36,9 @@
 #   8. clang-tidy (advisory) when clang-tidy is on PATH, against the
 #      compile database stage 1 exported; skipped with a notice if not;
 #   9. frontier differential (label `frontier`: the BFS engine's census
-#      vs the sequential explorer across the registry grid, forced-spill
-#      parity included), then bench smoke: bench_b3_explorer/
-#      bench_b4_fuzzer/bench_b5_crash/bench_b6_frontier --json --smoke,
+#      vs the sequential explorer across the registry grid), then bench
+#      smoke: bench_b3_explorer/bench_b4_fuzzer/bench_b5_crash/
+#      bench_b6_frontier --json --smoke,
 #      then scripts/bench_gate.py asserts the B3 state-space reduction
 #      is >= 5x with a matching differential census, the
 #      generated-machine overhead on random-walk campaigns (which step a
@@ -48,8 +48,7 @@
 #      factor >= 1, the B5 crash growth/latency bounds hold, and the B6
 #      frontier engine on every hardware thread reaches >= 0.65x the
 #      sequential DFS's states/sec (an interim floor, see
-#      scripts/bench_gate.py) with the DFS's census, and the same census
-#      under forced spilling;
+#      scripts/bench_gate.py) with the DFS's census;
 #  10. verify-cache (label `verify-cache`: the canonical job layer —
 #      JobSpec round-trips, strict validation, and the persistent
 #      census cache's hit/miss/soundness matrix), then

@@ -83,8 +83,8 @@ using IdOf = std::function<std::uint32_t(const detail::Fingerprint&)>;
 /// hop's target, and applies it; with `match_kind` the choice must
 /// also be a process step exactly when the hop is.  `world` ends at the
 /// last target.  Throws std::runtime_error when no choice re-derives a
-/// hop, which means the engine lost a censused state (an unreadable
-/// spill run, say).
+/// hop, which means the engine lost a censused state (a fingerprint
+/// collision or an engine bug).
 [[nodiscard]] std::vector<Choice> rederive(SimWorld& world,
                                            std::span<const CycleEdge> hops,
                                            bool match_kind, bool sym,

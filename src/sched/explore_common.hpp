@@ -135,14 +135,6 @@ class FlatFpMap {
     return kNoValue;
   }
 
-  /// Calls f(fp, value) for every stored entry, in slot order.
-  template <typename F>
-  void for_each(F&& f) const {
-    for (const Entry& e : slots_) {
-      if (e.value != kNoValue) f(e.key, e.value);
-    }
-  }
-
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
 

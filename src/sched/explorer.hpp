@@ -118,8 +118,8 @@ struct ExploreResult {
   /// tables, the lane arena and memo tables, the DFS's stack and state
   /// arenas, and the frontier's parent ids, wave buffers, handoff rings
   /// and cycle-scan edges.  A capacity census of the monotone
-  /// structures, not an allocator trace — the comparable signal
-  /// spill-watermark tuning needs, cheap enough to always collect.
+  /// structures, not an allocator trace — comparable across engines
+  /// and runs, and cheap enough to always collect.
   std::uint64_t peak_bytes = 0;
 
   [[nodiscard]] std::uint64_t violations_of(ViolationKind kind) const {

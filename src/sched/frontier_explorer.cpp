@@ -7,18 +7,18 @@
 //            (sched/lane_space.hpp: shared raws + hash-consed machine
 //            lanes, the same kernel the sequential DFS runs on) — no
 //            SimWorld copies on the hot path.  Successor items are
-//            routed: own shard → local candidate buffer, foreign shard →
-//            SPSC ring.
+//            routed: own shard → censused on the spot, foreign shard →
+//            SPSC ring to the owner, which censuses the item when it
+//            drains the ring.  Censusing probes the shard's private
+//            FlatFpMap — single writer, no locks; a novel terminal is
+//            judged there, a novel non-terminal joins the next wave.
 //   quiesce: expansion counter + ring drain (a producer's pushes happen
 //            before its counter decrement, so one empty sweep after the
 //            counter hits zero is conclusive).
-//   dedup:   each owner sorts its candidates by fingerprint, merge-joins
-//            them against its spilled runs, then probes its private
-//            FlatFpMap — single writer, no locks.  Novel states join the
-//            next wave; novel terminals are censused on the spot.
 //   account: worker 0 sums the next wave, takes the peak-memory census
-//            and decides stop/spill for everyone (spin barriers carry
-//            the happens-before edges).
+//            and decides stop for everyone (spin barriers carry the
+//            happens-before edges).
+//   flip:    each owner swaps its shards' censused items into the wave.
 //
 // Machine stepping is memoized per (lane, returned-word) transition in
 // a worker-private LaneCache in front of the shared LaneArena.  The memo
@@ -32,8 +32,6 @@
 #include <bit>
 #include <cassert>
 #include <exception>
-#include <filesystem>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -68,8 +66,6 @@ constexpr std::uint64_t kIdSpace = 0x7FFFFFFEull;
 constexpr std::size_t kExpandBlock = 64;
 /// Items per SPSC ring (per producer/consumer pair).
 constexpr std::size_t kRingItems = 512;
-/// Entries per spill-run read buffer during merge-join.
-constexpr std::size_t kRunBuf = 1024;
 
 [[nodiscard]] bool fp_less(const Fingerprint& x, const Fingerprint& y) {
   return x.a < y.a || (x.a == y.a && x.b < y.b);
@@ -92,33 +88,19 @@ constexpr std::size_t kHeaderWords = 3;
 constexpr std::size_t kItFpA = 0, kItFpB = 1, kItIds = 2;
 constexpr std::uint64_t kItAdversary = std::uint64_t{1} << 63;
 
-/// Spill-run entry: one (fingerprint, seq | terminal flag) pair of a
-/// shard's table.  Runs are flat arrays sorted by fp, so they are read
-/// as streams and binary-searched by seek.
-struct RunEntry {
-  Fingerprint fp;
-  std::uint32_t value = 0;
-  std::uint32_t pad = 0;  ///< written to runs, so never left unset
-};
-static_assert(sizeof(RunEntry) == 24 && std::is_trivially_copyable_v<RunEntry>);
-
 // ---------------------------------------------------------------------------
 // Shards, per-worker state, shared context.
 // ---------------------------------------------------------------------------
 
 struct alignas(64) ShardState {
-  /// fp → seq | kTerminalFlag of the states admitted since the last
-  /// spill (all of them when nothing spilled).
+  /// fp → seq | kTerminalFlag of every admitted state.
   FlatFpMap table{16};
   /// The discovering parent's id, indexed by seq (kNoParent for the
-  /// root).  Never spilled: witnesses walk it back to the root.
+  /// root): witnesses walk it back to the root.
   std::vector<std::uint32_t> parent;
   std::vector<std::uint64_t> wave;  ///< items to expand this wave
-  /// Direct mode: censused next-wave items (flipped into wave at the
-  /// boundary).  Spill mode: raw successor candidates awaiting dedup.
+  /// Censused next-wave items, flipped into wave at the boundary.
   std::vector<std::uint64_t> cand;
-  std::vector<std::string> runs;    ///< sorted spill run files
-  std::uint64_t grows = 0;  ///< table grows accumulated across resets
 };
 
 struct WorkerState {
@@ -130,9 +112,6 @@ struct WorkerState {
   std::set<std::uint64_t> agreed_values;
   std::vector<CycleEdge> edges;  ///< for the post-join cycle scan
   std::uint64_t forwarded = 0;
-  std::uint64_t spill_runs = 0;
-  std::uint64_t spilled_records = 0;
-  std::uint64_t spill_bytes = 0;
 
   // Memo caches in front of the shared arena, and the worker's tallies.
   LaneCache cache;
@@ -147,11 +126,6 @@ struct WorkerState {
   std::vector<Choice> choices;
   std::vector<std::uint64_t> child_item;
   std::vector<std::uint64_t> ring_tmp;
-
-  // Dedup scratch.
-  std::vector<std::uint32_t> sort_idx;
-  std::vector<std::uint32_t> dup_from_run;
-  std::vector<RunEntry> run_buf;
 };
 
 struct BestViolation {
@@ -162,7 +136,6 @@ struct BestViolation {
 };
 
 struct Ctx {
-  const FrontierExploreOptions* fopts = nullptr;
   const ExploreOptions* opts = nullptr;
   const SimWorld* root = nullptr;
   LaneArena* arena = nullptr;
@@ -175,14 +148,6 @@ struct Ctx {
   std::uint32_t shard_bits = 0;
   std::uint32_t shard_mask = 0;
   std::uint32_t workers = 1;
-  bool spill_enabled = false;
-  /// No spilling configured: candidates are admitted into the census at
-  /// routing time (table probe per child) instead of being staged,
-  /// sorted and merge-joined at the wave boundary — the sort and the
-  /// candidate copies exist only to support spill-run merge-join.
-  bool direct = true;
-  std::string spill_dir;
-  std::uint64_t mem_limit = 0;
   std::vector<ShardState> shards;
   std::unique_ptr<util::HandoffMesh> mesh;
   std::unique_ptr<util::SpinBarrier> barrier;
@@ -200,12 +165,10 @@ struct Ctx {
   std::atomic<bool> found_violation{false};
   // ff-lint: allow(R1): wave-stop broadcast from worker 0, checker-internal
   std::atomic<bool> stop{false};
-  // ff-lint: allow(R1): spill broadcast from worker 0, checker-internal
-  std::atomic<bool> spill_now{false};
 
-  // Worker-0-only writes, between barriers B2 and B3: every other read
+  // Worker-0-only writes, between barriers B1 and B2: every other read
   // (admission reads `waves` as the depth it admits at) falls between
-  // B3 and the next B2, or after the join.
+  // B2 and the next B1, or after the join.
   std::uint64_t waves = 0;
   std::uint64_t peak_bytes = 0;
 
@@ -231,15 +194,13 @@ struct Ctx {
 // ---------------------------------------------------------------------------
 
 bool drain_rings(Ctx& ctx, WorkerState& ws, std::uint32_t w);
-std::uint32_t admit_item(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx,
-                         std::uint64_t* item, std::uint32_t existing,
-                         std::vector<std::uint64_t>& next_wave);
+void admit_item(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx,
+                std::uint64_t* item);
 
 /// Fingerprints the successor ws.child_item holds, fills its header and
-/// routes it: own shard → admitted into the census immediately (direct
-/// mode) or staged in the candidate buffer (spill mode), foreign shard →
-/// its owner's ring (draining our own inbox while the ring is full, so
-/// mutual-full rings cannot deadlock).
+/// routes it: own shard → admitted into the census immediately, foreign
+/// shard → its owner's ring (draining our own inbox while the ring is
+/// full, so mutual-full rings cannot deadlock).
 void finalize_child(Ctx& ctx, WorkerState& ws, std::uint32_t w,
                     const std::uint64_t* item, const Choice& choice) {
   std::uint64_t* c = ws.child_item.data();
@@ -263,21 +224,16 @@ void finalize_child(Ctx& ctx, WorkerState& ws, std::uint32_t w,
   }
   const std::uint32_t shard = ctx.shard_of(fp);
   const std::uint32_t owner = ctx.owner_of(shard);
-  // Start the dedup probe's cache fill while the header words are
+  // Start the census probe's cache fill while the header words are
   // written — admit_item's find lands on a warm line.
-  if (ctx.direct && owner == w) ctx.shards[shard].table.prefetch(fp);
+  if (owner == w) ctx.shards[shard].table.prefetch(fp);
   c[kItFpA] = fp.a;
   c[kItFpB] = fp.b;
   // The parent's own id, and whether an adversary took the step.
   c[kItIds] = (item[kItIds] >> 32) |
               (choice.pid == kAdversaryPid ? kItAdversary : 0);
   if (owner == w) {
-    ShardState& sh = ctx.shards[shard];
-    if (ctx.direct) {
-      admit_item(ctx, ws, shard, c, sh.table.find(fp), sh.cand);
-    } else {
-      sh.cand.insert(sh.cand.end(), c, c + ctx.stride);
-    }
+    admit_item(ctx, ws, shard, c);
     return;
   }
   ++ws.forwarded;
@@ -324,8 +280,7 @@ void expand_item(Ctx& ctx, WorkerState& ws, std::uint32_t w,
   }
 }
 
-/// Pops every inbound ring into the owned shards' census (direct mode)
-/// or candidate buffers (spill mode).
+/// Pops every inbound ring into the owned shards' census.
 bool drain_rings(Ctx& ctx, WorkerState& ws, std::uint32_t w) {
   bool any = false;
   for (std::uint32_t p = 0; p < ctx.workers; ++p) {
@@ -333,15 +288,7 @@ bool drain_rings(Ctx& ctx, WorkerState& ws, std::uint32_t w) {
     while (ring.try_pop(ws.ring_tmp.data())) {
       any = true;
       const Fingerprint fp{ws.ring_tmp[kItFpA], ws.ring_tmp[kItFpB]};
-      const std::uint32_t shard = ctx.shard_of(fp);
-      ShardState& sh = ctx.shards[shard];
-      if (ctx.direct) {
-        admit_item(ctx, ws, shard, ws.ring_tmp.data(), sh.table.find(fp),
-                   sh.cand);
-      } else {
-        sh.cand.insert(sh.cand.end(), ws.ring_tmp.begin(),
-                       ws.ring_tmp.begin() + ctx.stride);
-      }
+      admit_item(ctx, ws, ctx.shard_of(fp), ws.ring_tmp.data());
     }
   }
   return any;
@@ -369,7 +316,7 @@ void expand_phase(Ctx& ctx, WorkerState& ws, std::uint32_t w,
 }
 
 // ---------------------------------------------------------------------------
-// Deduplication and census.
+// Census.
 // ---------------------------------------------------------------------------
 
 void offer_violation(Ctx& ctx, std::uint32_t depth, const Fingerprint& fp,
@@ -382,22 +329,18 @@ void offer_violation(Ctx& ctx, std::uint32_t depth, const Fingerprint& fp,
   ctx.found_violation.store(true, std::memory_order_relaxed);
 }
 
-/// Census admission of one owner-routed candidate.  `existing` is the
-/// caller's dedup lookup result (kNoValue when the fingerprint is new).
-/// Duplicate → record the transition edge; novel → intern the
+/// Census admission of one owner-routed candidate: probe the shard's
+/// table; duplicate → record the transition edge; novel → intern the
 /// fingerprint, assign the dense id, store the parent id, and either run
-/// the terminal verdict or append the item to `next_wave`.  Returns
-/// the table value of the fingerprint (seq | terminal flag).
-/// Single-writer: only the shard's owner may call this.  A state is
-/// admitted at depth Ctx::waves whether admission happens at routing
-/// time (direct mode) or at the wave boundary (spill mode): the
-/// candidates of wave d-1 are admitted while waves == d in both modes,
-/// so the census and the BFS depth-minimality guarantee are identical.
-std::uint32_t admit_item(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx,
-                         std::uint64_t* item, std::uint32_t existing,
-                         std::vector<std::uint64_t>& next_wave) {
+/// the terminal verdict or append the item to the shard's `cand`.
+/// Single-writer: only the shard's owner may call this.  The successors
+/// of wave d-1 are admitted while waves == d, which is the depth the
+/// census records and the BFS depth-minimality guarantee rests on.
+void admit_item(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx,
+                std::uint64_t* item) {
   ShardState& sh = ctx.shards[shard_idx];
   const Fingerprint fp{item[kItFpA], item[kItFpB]};
+  const std::uint32_t existing = sh.table.find(fp);
   const auto parent_id = static_cast<std::uint32_t>(item[kItIds]);
   // The edge's source: the parent, flagged when an adversary stepped.
   const std::uint32_t from =
@@ -412,7 +355,7 @@ std::uint32_t admit_item(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx,
           ((existing & ~kTerminalFlag) << ctx.shard_bits) | shard_idx;
       ws.edges.push_back(CycleEdge{from, to});
     }
-    return existing;
+    return;
   }
 
   // Novel state.
@@ -420,7 +363,7 @@ std::uint32_t admit_item(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx,
   const auto seq = static_cast<std::uint32_t>(sh.parent.size());
   if ((std::uint64_t{seq} << ctx.shard_bits) > kIdSpace) {
     ctx.aborted.store(true, std::memory_order_relaxed);
-    return FlatFpMap::kNoValue;
+    return;
   }
   std::uint32_t value = seq;
   if (terminal) value |= kTerminalFlag;
@@ -434,7 +377,7 @@ std::uint32_t admit_item(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx,
   if ((ctx.opts->max_states != 0 && nstates > ctx.opts->max_states) ||
       nstates > kIdSpace) {
     ctx.aborted.store(true, std::memory_order_relaxed);
-    return value;
+    return;
   }
   const auto depth = static_cast<std::uint32_t>(ctx.waves);
   ws.max_depth = std::max<std::uint64_t>(ws.max_depth, depth);
@@ -454,174 +397,19 @@ std::uint32_t admit_item(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx,
       ws.agreed_values.insert(*v.agreed);
     }
   } else {
-    next_wave.insert(next_wave.end(), item, item + ctx.stride);
+    sh.cand.insert(sh.cand.end(), item, item + ctx.stride);
   }
-  return value;
-}
-
-/// Marks candidates whose fingerprint already sits in a spill run:
-/// streamed merge-join of the fp-sorted candidate order against each
-/// sorted run.  dup value = seq | terminal flag.
-void mark_run_duplicates(Ctx& ctx, WorkerState& ws, ShardState& sh) {
-  const std::size_t count = ws.sort_idx.size();
-  const auto cand_fp = [&](std::uint32_t ci) {
-    const std::uint64_t* it = sh.cand.data() + std::size_t{ci} * ctx.stride;
-    return Fingerprint{it[kItFpA], it[kItFpB]};
-  };
-  ws.run_buf.resize(kRunBuf);
-  for (const std::string& path : sh.runs) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      // An unreadable run would silently re-admit its states; abort.
-      ctx.aborted.store(true, std::memory_order_relaxed);
-      return;
-    }
-    std::size_t ci = 0;
-    bool more = true;
-    while (more && ci < count) {
-      in.read(reinterpret_cast<char*>(ws.run_buf.data()),
-              static_cast<std::streamsize>(kRunBuf * sizeof(RunEntry)));
-      const std::size_t got =
-          static_cast<std::size_t>(in.gcount()) / sizeof(RunEntry);
-      more = got == kRunBuf;
-      for (std::size_t r = 0; r < got && ci < count; ++r) {
-        const RunEntry& e = ws.run_buf[r];
-        while (ci < count && fp_less(cand_fp(ws.sort_idx[ci]), e.fp)) ++ci;
-        while (ci < count && cand_fp(ws.sort_idx[ci]) == e.fp) {
-          ws.dup_from_run[ws.sort_idx[ci]] = e.value;
-          ++ci;
-        }
-      }
-    }
-  }
-}
-
-/// Wave-boundary dedup of one shard.  Direct mode (no spilling):
-/// candidates were censused at routing time, cand already IS the next
-/// wave — flip the buffers.  Spill mode: sort the staged candidates by
-/// fingerprint, merge-join against the spill runs, probe the private
-/// table, census the novel states and build the next wave.
-void dedup_shard(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx) {
-  ShardState& sh = ctx.shards[shard_idx];
-  sh.wave.clear();
-  if (ctx.direct) {
-    sh.wave.swap(sh.cand);
-    return;
-  }
-  const std::size_t count = sh.cand.size() / ctx.stride;
-  if (count == 0) return;
-
-  ws.sort_idx.resize(count);
-  for (std::uint32_t i = 0; i < count; ++i) ws.sort_idx[i] = i;
-  std::sort(ws.sort_idx.begin(), ws.sort_idx.end(),
-            [&](std::uint32_t x, std::uint32_t y) {
-              const std::uint64_t* ix = sh.cand.data() + std::size_t{x} * ctx.stride;
-              const std::uint64_t* iy = sh.cand.data() + std::size_t{y} * ctx.stride;
-              return ix[kItFpA] < iy[kItFpA] ||
-                     (ix[kItFpA] == iy[kItFpA] && ix[kItFpB] < iy[kItFpB]);
-            });
-  ws.dup_from_run.assign(count, FlatFpMap::kNoValue);
-  if (!sh.runs.empty()) mark_run_duplicates(ctx, ws, sh);
-
-  Fingerprint prev_fp{};
-  std::uint32_t prev_value = FlatFpMap::kNoValue;
-  bool have_prev = false;
-  for (std::size_t k = 0; k < count; ++k) {
-    const std::uint32_t ci = ws.sort_idx[k];
-    std::uint64_t* item = sh.cand.data() + std::size_t{ci} * ctx.stride;
-    const Fingerprint fp{item[kItFpA], item[kItFpB]};
-
-    std::uint32_t existing = FlatFpMap::kNoValue;
-    if (have_prev && fp == prev_fp) {
-      existing = prev_value;
-    } else if (ws.dup_from_run[ci] != FlatFpMap::kNoValue) {
-      existing = ws.dup_from_run[ci];
-    } else {
-      existing = sh.table.find(fp);
-    }
-
-    prev_value = admit_item(ctx, ws, shard_idx, item, existing, sh.wave);
-    if (ctx.aborted.load(std::memory_order_relaxed)) return;
-    have_prev = true;
-    prev_fp = fp;
-  }
-  sh.cand.clear();
-}
-
-// ---------------------------------------------------------------------------
-// Spill.
-// ---------------------------------------------------------------------------
-
-/// Writes the shard's table as one fp-sorted run and starts a fresh
-/// table; parent ids stay in memory.
-void spill_shard(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx) {
-  ShardState& sh = ctx.shards[shard_idx];
-  if (sh.table.size() == 0) return;
-  std::vector<RunEntry> run;
-  run.reserve(sh.table.size());
-  sh.table.for_each([&run](const Fingerprint& fp, std::uint32_t value) {
-    run.push_back(RunEntry{fp, value});
-  });
-  std::sort(run.begin(), run.end(), [](const RunEntry& x, const RunEntry& y) {
-    return fp_less(x.fp, y.fp);
-  });
-  const std::string path = ctx.spill_dir + "/shard" +
-                           std::to_string(shard_idx) + ".run" +
-                           std::to_string(sh.runs.size());
-  std::ofstream outf(path, std::ios::binary | std::ios::trunc);
-  outf.write(reinterpret_cast<const char*>(run.data()),
-             static_cast<std::streamsize>(run.size() * sizeof(RunEntry)));
-  if (!outf) {
-    // A lost run would silently re-admit spilled states; abort instead.
-    ctx.aborted.store(true, std::memory_order_relaxed);
-    return;
-  }
-  ++ws.spill_runs;
-  ws.spilled_records += run.size();
-  ws.spill_bytes += run.size() * sizeof(RunEntry);
-  sh.runs.push_back(path);
-  sh.grows += sh.table.grows();
-  sh.table = FlatFpMap(1024);
 }
 
 // ---------------------------------------------------------------------------
 // Witnesses, re-derived after the join (cycle_scan.hpp: rederive).
 // ---------------------------------------------------------------------------
 
-/// Binary search of one sorted run file for `fp` (seekg on 24-byte
-/// entries): its value (seq | terminal flag), or kNoValue on a miss.
-[[nodiscard]] std::uint32_t search_run(const std::string& path,
-                                       const Fingerprint& fp) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return FlatFpMap::kNoValue;
-  const auto bytes = static_cast<std::uint64_t>(in.tellg());
-  std::uint64_t lo = 0, hi = bytes / sizeof(RunEntry);
-  while (lo < hi) {
-    const std::uint64_t mid = lo + (hi - lo) / 2;
-    RunEntry e;
-    in.seekg(static_cast<std::streamoff>(mid * sizeof(RunEntry)));
-    in.read(reinterpret_cast<char*>(&e), sizeof(RunEntry));
-    if (!in) return FlatFpMap::kNoValue;
-    if (e.fp == fp) return e.value;
-    if (fp_less(e.fp, fp)) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return FlatFpMap::kNoValue;
-}
-
 /// The id of the censused state with fingerprint `fp` (kNoParent when
-/// there is none): its shard's table, else that shard's spill runs.
+/// there is none), looked up in its shard's table.
 [[nodiscard]] std::uint32_t id_of(const Ctx& ctx, const Fingerprint& fp) {
   const std::uint32_t shard = ctx.shard_of(fp);
-  const ShardState& sh = ctx.shards[shard];
-  std::uint32_t value = sh.table.find(fp);
-  for (auto it = sh.runs.rbegin();
-       value == FlatFpMap::kNoValue && it != sh.runs.rend(); ++it) {
-    value = search_run(*it, fp);
-  }
+  const std::uint32_t value = ctx.shards[shard].table.find(fp);
   if (value == FlatFpMap::kNoValue) return kNoParent;
   return ((value & ~kTerminalFlag) << ctx.shard_bits) | shard;
 }
@@ -682,17 +470,10 @@ void spill_shard(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx) {
   return total;
 }
 
-/// The spillable structures the watermark governs: the tables.
-[[nodiscard]] std::uint64_t spillable_bytes(const Ctx& ctx) {
-  std::uint64_t total = 0;
-  for (const ShardState& sh : ctx.shards) total += sh.table.capacity() * 24;
-  return total;
-}
-
 void worker_main(Ctx& ctx, std::uint32_t w) {
   WorkerState& ws = (*ctx.wlocals)[w];
   // Belt-and-braces unit cap on expanded items (also the R4 budget
-  // discipline): the dedup-side census counter is the primary abort.
+  // discipline): the admission-side census counter is the primary abort.
   runtime::BudgetMeter meter(runtime::BudgetSpec{ctx.opts->max_states, 0});
 
   bool running = true;
@@ -707,17 +488,12 @@ void worker_main(Ctx& ctx, std::uint32_t w) {
       quiet = ctx.expanding.load(std::memory_order_acquire) == 0;
       drained_any = drain_rings(ctx, ws, w);
     }
-    ctx.barrier->arrive_and_wait();  // B1: all candidates routed
-
-    for (std::uint32_t s = w; s < ctx.num_shards; s += ctx.workers) {
-      dedup_shard(ctx, ws, s);
-    }
-    ctx.barrier->arrive_and_wait();  // B2: census settled
+    ctx.barrier->arrive_and_wait();  // B1: every successor censused
 
     if (w == 0) {
       std::uint64_t next_items = 0;
       for (const ShardState& sh : ctx.shards) {
-        next_items += sh.wave.size() / ctx.stride;
+        next_items += sh.cand.size() / ctx.stride;
       }
       ctx.peak_bytes = std::max(ctx.peak_bytes, census_bytes(ctx));
       if (ctx.arena->overflowed()) {
@@ -729,24 +505,22 @@ void worker_main(Ctx& ctx, std::uint32_t w) {
           ctx.found_violation.load(std::memory_order_relaxed);
       const bool done = aborted || stop_early || next_items == 0;
       ctx.stop.store(done, std::memory_order_relaxed);
-      ctx.spill_now.store(!done && ctx.spill_enabled &&
-                              spillable_bytes(ctx) > ctx.mem_limit,
-                          std::memory_order_relaxed);
       if (!done) {
         ++ctx.waves;
         ctx.expanding.store(ctx.workers, std::memory_order_relaxed);
       }
     }
-    ctx.barrier->arrive_and_wait();  // B3: verdict visible to everyone
+    ctx.barrier->arrive_and_wait();  // B2: verdict visible to everyone
 
     if (ctx.stop.load(std::memory_order_relaxed)) {
       running = false;
       continue;
     }
-    if (ctx.spill_now.load(std::memory_order_relaxed)) {
-      for (std::uint32_t s = w; s < ctx.num_shards; s += ctx.workers) {
-        spill_shard(ctx, ws, s);
-      }
+    // Flip each owned shard's censused items into the next wave.
+    for (std::uint32_t s = w; s < ctx.num_shards; s += ctx.workers) {
+      ShardState& sh = ctx.shards[s];
+      sh.wave.clear();
+      sh.wave.swap(sh.cand);
     }
   }
 }
@@ -764,7 +538,6 @@ FrontierExploreResult frontier_explore(const SimConfig& config,
   SimWorld root(config, factory, inputs);
 
   Ctx ctx;
-  ctx.fopts = &options;
   ctx.opts = &opts;
   ctx.root = &root;
   ctx.sym = opts.symmetry_reduction && root.processes_symmetric();
@@ -786,23 +559,13 @@ FrontierExploreResult frontier_explore(const SimConfig& config,
   const std::uint32_t hw =
       std::max<std::uint32_t>(1, std::thread::hardware_concurrency());
   workers = std::min(std::max<std::uint32_t>(1, workers), hw);
-  const std::uint32_t shards = std::bit_ceil(std::max<std::uint32_t>(
-      1, options.shard_count != 0 ? options.shard_count
-                                  : std::max<std::uint32_t>(64, workers)));
+  // At least as many shards as workers keeps every worker busy.
+  const std::uint32_t shards =
+      std::bit_ceil(std::max<std::uint32_t>(64, workers));
   ctx.num_shards = shards;
   ctx.shard_bits = static_cast<std::uint32_t>(std::countr_zero(shards));
   ctx.shard_mask = shards - 1;
-  ctx.workers = std::min(workers, shards);
-
-  ctx.spill_dir = options.spill_dir;
-  ctx.mem_limit = options.mem_limit_bytes;
-  ctx.spill_enabled = !ctx.spill_dir.empty() && ctx.mem_limit != 0;
-  if (ctx.spill_enabled) {
-    std::error_code ec;
-    std::filesystem::create_directories(ctx.spill_dir, ec);
-    if (ec) ctx.spill_enabled = false;
-  }
-  ctx.direct = !ctx.spill_enabled;
+  ctx.workers = workers;
 
   ctx.shards = std::vector<ShardState>(ctx.num_shards);
   const std::size_t per_shard_hint = std::max<std::size_t>(
@@ -819,10 +582,9 @@ FrontierExploreResult frontier_explore(const SimConfig& config,
   }
   ctx.wlocals = &wlocals;
 
-  // Root item, seeded as the sole wave-0 candidate of its shard: direct
-  // mode admits it here, spill mode interns it in the first dedup pass
-  // (terminal roots included — no special case); either way wave 0
-  // expands nothing and the first barrier round promotes it.
+  // Root item, admitted here as the sole wave-0 candidate of its shard
+  // (terminal roots included — no special case): wave 0 expands nothing
+  // and the first barrier round promotes it.
   {
     std::vector<std::uint64_t> item(ctx.stride, 0);
     space.state_of(root, item.data() + kHeaderWords);
@@ -832,14 +594,7 @@ FrontierExploreResult frontier_explore(const SimConfig& config,
         space.fingerprint(item.data() + kHeaderWords, ws0.cache);
     item[kItFpA] = root_fp.a;
     item[kItFpB] = root_fp.b;
-    const std::uint32_t root_shard = ctx.shard_of(root_fp);
-    ShardState& sh = ctx.shards[root_shard];
-    if (ctx.direct) {
-      admit_item(ctx, ws0, root_shard, item.data(), sh.table.find(root_fp),
-                 sh.cand);
-    } else {
-      sh.cand.insert(sh.cand.end(), item.begin(), item.end());
-    }
+    admit_item(ctx, ws0, ctx.shard_of(root_fp), item.data());
   }
 
   ctx.expanding.store(ctx.workers, std::memory_order_relaxed);
@@ -869,12 +624,9 @@ FrontierExploreResult frontier_explore(const SimConfig& config,
     result.immunity_skips += ws.cache.immunity_skips;
     out.stats.forwarded += ws.forwarded;
     out.stats.memo_hits += ws.cache.memo_hits;
-    out.stats.spill_runs += ws.spill_runs;
-    out.stats.spilled_records += ws.spilled_records;
-    out.stats.spill_bytes += ws.spill_bytes;
   }
-  for (ShardState& sh : ctx.shards) {
-    result.table_grows += sh.grows + sh.table.grows();
+  for (const ShardState& sh : ctx.shards) {
+    result.table_grows += sh.table.grows();
   }
 
   if (ctx.best) result.violation = build_witness(ctx, *ctx.best);

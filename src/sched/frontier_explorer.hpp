@@ -5,7 +5,8 @@
 // only multi-threaded exhaustive engine, built around three ideas:
 //
 //   * OWNER-COMPUTES SHARDING.  The canonical-fingerprint space is
-//     hash-partitioned into shards, each owned by exactly one worker.  A
+//     hash-partitioned into max(64, workers) shards (rounded up to a
+//     power of two), each owned by exactly one worker.  A
 //     successor whose fingerprint lands in another worker's shard is
 //     FORWARDED through a bounded SPSC handoff ring (util/handoff.hpp)
 //     instead of being inserted under a striped lock, so every
@@ -30,15 +31,6 @@
 //     the root, keeping at each hop the first choice whose successor's
 //     fingerprint resolves to the next id (sched/cycle_scan.hpp).
 //
-//   * DISK-SPILLED CENSUSES.  When the fingerprint tables exceed a
-//     watermark, each worker writes its shard's table as a run file of
-//     fp-sorted (fingerprint, id) entries to `spill_dir` and starts a
-//     fresh table; later waves deduplicate by merge-joining their sorted
-//     candidates against the runs, and witness re-derivation resolves a
-//     spilled fingerprint by binary search of the runs.  Table memory is
-//     bounded by the watermark; parent ids and the edge list the
-//     nontermination scan needs are never spilled.
-//
 // The result satisfies the ExploreResult contract: the census
 // (states_visited, terminal_states, agreed_values, violation counts per
 // terminal kind) is BIT-EQUAL to the sequential explorer's on every
@@ -54,12 +46,12 @@
 //     root), not the longest DFS path.
 //   * Which violation is reported first differs from DFS order; the
 //     frontier picks the lexicographically least (depth, fingerprint)
-//     violating state, so ITS choice is deterministic across thread and
-//     shard counts.  Witnesses strictly replay either way.
+//     violating state, so ITS choice is deterministic across thread
+//     counts.  Witnesses strictly replay either way.
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <vector>
 
 #include "sched/explorer.hpp"
 #include "sched/sim_world.hpp"
@@ -70,18 +62,6 @@ struct FrontierExploreOptions {
   ExploreOptions explore;
   /// Worker threads; 0 = hardware concurrency.
   std::uint32_t num_threads = 0;
-  /// Fingerprint-space shards (rounded up to a power of two); 0 picks
-  /// max(64, workers).  Each shard is owned by worker (shard % workers),
-  /// so any count >= workers keeps every worker busy; the census is
-  /// invariant under the shard count.
-  std::uint32_t shard_count = 0;
-  /// Directory for sorted spill runs.  Empty disables spilling (the
-  /// engine then ignores mem_limit_bytes and keeps everything in RAM).
-  std::string spill_dir;
-  /// In-memory watermark over the fingerprint tables, the only census
-  /// structure that spills (parent ids and cycle-scan edges stay in
-  /// RAM).  0 = never spill.
-  std::uint64_t mem_limit_bytes = 0;
 };
 
 /// Counters specific to the frontier engine, reported next to the
@@ -89,9 +69,6 @@ struct FrontierExploreOptions {
 struct FrontierStats {
   std::uint64_t waves = 0;             ///< BFS levels expanded
   std::uint64_t forwarded = 0;         ///< cross-shard handoffs
-  std::uint64_t spill_runs = 0;        ///< sorted runs written
-  std::uint64_t spilled_records = 0;   ///< table entries in those runs
-  std::uint64_t spill_bytes = 0;       ///< bytes written to spill_dir
   /// Memo misses stepped (clone() + deliver()), one per arena call;
   /// both counters keep their historical names and now read alike.
   std::uint64_t batch_sweeps = 0;

@@ -156,9 +156,6 @@ std::string JobSpec::canonical_json() const {
   write_job_object(w, canonical);
   w.key("exec").begin_object();
   w.kv("threads", std::uint64_t{canonical.threads});
-  w.kv("shard_count", std::uint64_t{canonical.shard_count});
-  w.kv("spill_dir", canonical.spill_dir);
-  w.kv("mem_limit_bytes", canonical.mem_limit_bytes);
   w.kv("expected_states", canonical.expected_states);
   w.end_object();
   w.end_object();
@@ -195,10 +192,6 @@ JobSpec JobSpec::from_json(const util::JsonValue& doc) {
   spec.shrink = job.at("shrink").as_bool();
   spec.trials = job.at("trials").as_u64();
   spec.threads = static_cast<std::uint32_t>(exec.at("threads").as_u64());
-  spec.shard_count =
-      static_cast<std::uint32_t>(exec.at("shard_count").as_u64());
-  spec.spill_dir = exec.at("spill_dir").as_string();
-  spec.mem_limit_bytes = exec.at("mem_limit_bytes").as_u64();
   spec.expected_states = exec.at("expected_states").as_u64();
   return spec;
 }

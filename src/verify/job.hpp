@@ -1,7 +1,7 @@
 // verify::JobSpec — the canonical, hashable description of ONE
 // verification run, and the value type every front end (fault_explorer,
-// the B-series benches, the differential test harnesses, and the future
-// ffd daemon) constructs instead of wiring raw engine option structs.
+// the B-series benches, perfbench and the differential test harnesses)
+// constructs instead of wiring raw engine option structs.
 //
 // A job names a protocol (registry name + params), a fault model
 // (kind + fault/crash budgets), an engine, the reduction flags, and the
@@ -17,10 +17,10 @@
 //     fixed order with aliases resolved to canonical registry names and
 //     params normalized against the protocol's schema (defaults filled,
 //     unknown keys dropped), so equal jobs serialize to equal bytes.
-//     Execution hints that cannot change the result census — thread and
-//     shard counts, spill settings, table pre-sizing — live in a
-//     separate "exec" section that is serialized (round-trip) but
-//     EXCLUDED from the job fingerprint (DESIGN.md §3j).
+//     Execution hints that cannot change the result census — the
+//     thread count and the table pre-size — live in a separate "exec"
+//     section that is serialized (round-trip) but EXCLUDED from the job
+//     fingerprint (DESIGN.md §3j).
 #pragma once
 
 #include <cstdint>
@@ -98,9 +98,6 @@ struct JobSpec {
   // --- execution hints (serialized, NOT fingerprinted) ------------------
   /// Frontier worker threads (0 = hardware concurrency).
   std::uint32_t threads = 0;
-  std::uint32_t shard_count = 0;
-  std::string spill_dir;
-  std::uint64_t mem_limit_bytes = 0;
   /// Fingerprint-table pre-size hint (0 = derive from max_states).
   std::uint64_t expected_states = 0;
 

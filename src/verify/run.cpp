@@ -49,9 +49,6 @@ Report execute_explore_family(const Instance& instance) {
     sched::FrontierExploreOptions options;
     options.explore = explore_options(spec);
     options.num_threads = spec.threads;
-    options.shard_count = spec.shard_count;
-    options.spill_dir = spec.spill_dir;
-    options.mem_limit_bytes = spec.mem_limit_bytes;
     const auto result = sched::frontier_explore(
         instance.config, *instance.factory, instance.inputs, options);
     fill_census(report, result.explore);

@@ -3,9 +3,8 @@
 // to the sequential oracle's on every cell of two grids — the
 // legacy-machine differential grid (hand-written StepMachines) and the
 // simulable-registry × fault-kind × crash-budget grid (generated
-// machines) — with symmetry reduction on and off, under forced
-// spilling, and at any shard count.  Witnesses must strictly replay,
-// including witnesses re-derived through spilled runs.  Also covers
+// machines) — with symmetry reduction on and off, at two and four
+// threads.  Witnesses must strictly replay.  Also covers
 // ExploreOptions::max_states truncation for both explorers (a capped run
 // must be incomplete and must not fabricate a violation on a correct
 // configuration), and a worker's exception, which must reach the caller
@@ -13,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -81,11 +79,10 @@ std::vector<RegistryCase> registry_grid() {
 }
 
 FrontierExploreOptions fopts(const ExploreOptions& explore,
-                             std::uint32_t threads, std::uint32_t shards = 0) {
+                             std::uint32_t threads) {
   FrontierExploreOptions options;
   options.explore = explore;
   options.num_threads = threads;
-  options.shard_count = shards;
   return options;
 }
 
@@ -207,84 +204,6 @@ TEST(FrontierDifferential, RegistryGridWithCrashBudgets) {
 }
 
 // ---------------------------------------------------------------------------
-// Shard invariance: the census is a property of the graph, not of the
-// partitioning.
-// ---------------------------------------------------------------------------
-
-TEST(FrontierDifferential, ShardCountInvariance) {
-  const auto factory = proto::machine_factory("staged");
-  sched::SimConfig config;
-  config.num_objects = factory->objects_used();
-  config.num_registers = factory->registers_used();
-  config.kind = FaultKind::kOverriding;
-  config.t = 1;
-  ExploreOptions opts;
-  opts.stop_at_first_violation = false;
-  const auto inputs = iota_inputs(3);
-  for (const std::uint32_t shards : {1u, 2u, 8u}) {
-    expect_frontier_matches_sequential(
-        config, *factory, inputs, fopts(opts, 4, shards),
-        "staged shards=" + std::to_string(shards));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Forced spill: a byte-sized watermark spills every wave; the census
-// must not change and the re-derived witnesses must still replay.
-// ---------------------------------------------------------------------------
-
-FrontierExploreOptions spill_opts(FrontierExploreOptions options,
-                                  const std::string& subdir) {
-  options.spill_dir =
-      (std::filesystem::path(::testing::TempDir()) / subdir).string();
-  options.mem_limit_bytes = 1;  // below any table: spill after every wave
-  return options;
-}
-
-TEST(FrontierSpill, ForcedSpillCensusParity) {
-  std::size_t i = 0;
-  for (const GridCase& gc : differential_grid()) {
-    if (i++ % 4 != 0) continue;
-    const sched::SimConfig config = grid_config(gc);
-    const FrontierExploreOptions options = spill_opts(
-        fopts(full_space_options(gc), 2), "ff_spill_" + std::to_string(i));
-    const FrontierExploreResult spilled =
-        frontier_explore(config, *gc.factory, iota_inputs(gc.n), options);
-    EXPECT_GT(spilled.stats.spill_runs, 0u) << gc.name;
-    EXPECT_GT(spilled.stats.spilled_records, 0u) << gc.name;
-    const sched::SimWorld world(config, *gc.factory, iota_inputs(gc.n));
-    const ExploreResult seq = sched::explore(world, options.explore);
-    expect_census_matches(seq, spilled.explore, gc.name + " spilled");
-    if (spilled.explore.violation) {
-      expect_witness_reproduces(world, *spilled.explore.violation,
-                                gc.name + " spilled witness");
-    }
-  }
-}
-
-TEST(FrontierSpill, SpilledWitnessStrictReplay) {
-  // Single-CAS under one silent fault violates agreement (the winning
-  // CAS is lost); with a byte watermark the witness's states must be
-  // resolved through the spilled runs by binary search and the witness
-  // must still strictly replay.
-  const auto factory = proto::machine_factory("single-cas");
-  sched::SimConfig config;
-  config.num_objects = factory->objects_used();
-  config.kind = FaultKind::kSilent;
-  config.t = 1;
-  ExploreOptions opts;
-  opts.stop_at_first_violation = false;
-  const FrontierExploreOptions options =
-      spill_opts(fopts(opts, 2), "ff_spill_witness");
-  const FrontierExploreResult fr =
-      frontier_explore(config, *factory, iota_inputs(2), options);
-  EXPECT_GT(fr.stats.spill_runs, 0u);
-  ASSERT_TRUE(fr.explore.violation.has_value());
-  const sched::SimWorld world(config, *factory, iota_inputs(2));
-  expect_witness_reproduces(world, *fr.explore.violation, "spilled witness");
-}
-
-// ---------------------------------------------------------------------------
 // Nontermination, engine stats, and edge cases.
 // ---------------------------------------------------------------------------
 
@@ -329,7 +248,6 @@ TEST(FrontierExplorer, StatsReflectBatchedStepping) {
   EXPECT_LE(fr.stats.batch_sweeps, fr.stats.batched_lanes);
   EXPECT_GT(fr.stats.arena_lanes, 0u);
   EXPECT_GT(fr.explore.peak_bytes, 0u);
-  EXPECT_EQ(fr.stats.spill_runs, 0u);  // no spill_dir configured
 }
 
 TEST(FrontierExplorer, MaxStatesTruncationIsIncompleteNotWrong) {

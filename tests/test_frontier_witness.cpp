@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <filesystem>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -45,7 +44,7 @@ verify::JobSpec frontier_job(std::string protocol, FaultKind kind,
 }
 
 // ---------------------------------------------------------------------------
-// FrontierPin: frontier Reports at one thread without spilling, hashed
+// FrontierPin: frontier Reports at one thread, hashed
 // (FNV-1a 64) over Report::to_json() with the wall time and the
 // capacity census zeroed — the census, the frontier counters, and each
 // witness with its detail string.  A deliberate change to any of them
@@ -69,28 +68,28 @@ std::vector<PinnedFrontierJob> pinned_frontier_jobs() {
   };
   add("staged overriding n=3",
       frontier_job("staged", FaultKind::kOverriding, 3),
-      0xd9a2b1025a0ae0c2ULL, 0x6fe64645a52b422bULL);
+      0x15982bdf6287db9fULL, 0xee044c00194b0df6ULL);
   add("single-cas arbitrary n=3",
       frontier_job("single-cas", FaultKind::kArbitrary, 3),
-      0x58e42e58bb224f31ULL, 0x0aafbf5b84cb1fb3ULL);
+      0xef536f5e9154b2b4ULL, 0xd0dc261db287c506ULL);
   verify::JobSpec recoverable_cas =
       frontier_job("recoverable-cas", FaultKind::kOverriding, 3);
   recoverable_cas.crash_budget = 1;
   add("recoverable-cas crashes=1 n=3", recoverable_cas,
-      0x5d06ae5df575f252ULL, 0xccfe4a10fe742784ULL);
+      0x59df3119d3e7543fULL, 0x953d199e37633ff9ULL);
   verify::JobSpec tas =
       frontier_job("tas", FaultKind::kNonresponsive, 2);
   tas.killed_is_violation = true;
   // tas machines read their pid, so symmetry never applies to them.
   add("tas nonresponsive killed_is_violation n=2", tas,
-      0x2debfd162f617de5ULL, 0x2debfd162f617de5ULL);
+      0x74495252b0216880ULL, 0x74495252b0216880ULL);
   // A complete census: 2,532 states, every terminal state agreeing.
   verify::JobSpec census =
       frontier_job("recoverable-staged", FaultKind::kOverriding, 2);
   census.crash_budget = 1;
   census.stop_at_first_violation = false;
   jobs.push_back({"recoverable-staged crashes=1 n=2 complete", census,
-                  0x7a188a613290d7eaULL});
+                  0x9af9cdfc42bff2c3ULL});
   return jobs;
 }
 
@@ -114,15 +113,10 @@ TEST(FrontierPin, ReportsAsRecorded) {
 // and 3 where the DFS reports a terminal violation and no engine throws.
 // The frontier's witness must strictly replay to the kind it reports and
 // be exactly as long as find_shortest_violation's, at 1 and 4 threads,
-// with symmetry on and off, and with every wave spilled.
+// with symmetry on and off.
 // ---------------------------------------------------------------------------
 
-void expect_minimal_witnesses(std::uint32_t threads, bool spill) {
-  const std::filesystem::path spill_dir =
-      std::filesystem::path(::testing::TempDir()) /
-      ("ff_witness_spill_" + std::to_string(threads));
-  // Only the spilling tests own the directory: ctest runs these tests
-  // in parallel processes.
+void expect_minimal_witnesses(std::uint32_t threads) {
   std::size_t jobs = 0;
   for (const auto& info : proto::ProtocolRegistry::instance().all()) {
     if (!info.simulable) continue;
@@ -158,10 +152,6 @@ void expect_minimal_witnesses(std::uint32_t threads, bool spill) {
           verify::JobSpec run = spec;
           run.threads = threads;
           run.symmetry_reduction = sym;
-          if (spill) {
-            run.spill_dir = spill_dir.string();
-            run.mem_limit_bytes = 1;  // spill after every wave
-          }
           const std::string label = job + (sym ? " sym" : "");
           const verify::Report report =
               verify::execute(verify::instantiate(run));
@@ -178,28 +168,12 @@ void expect_minimal_witnesses(std::uint32_t threads, bool spill) {
       }
     }
   }
-  if (spill) {
-    std::error_code ec;
-    std::filesystem::remove_all(spill_dir, ec);
-  }
   EXPECT_GE(jobs, 40u);
 }
 
-TEST(FrontierWitness, MinimalAtOneThread) {
-  expect_minimal_witnesses(1, false);
-}
+TEST(FrontierWitness, MinimalAtOneThread) { expect_minimal_witnesses(1); }
 
-TEST(FrontierWitness, MinimalAtFourThreads) {
-  expect_minimal_witnesses(4, false);
-}
-
-TEST(FrontierWitness, MinimalAtOneThreadSpilled) {
-  expect_minimal_witnesses(1, true);
-}
-
-TEST(FrontierWitness, MinimalAtFourThreadsSpilled) {
-  expect_minimal_witnesses(4, true);
-}
+TEST(FrontierWitness, MinimalAtFourThreads) { expect_minimal_witnesses(4); }
 
 }  // namespace
 }  // namespace ff::sched

@@ -18,7 +18,6 @@
 // ASan (scripts/check.sh stage 5), which reports that read.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -189,39 +188,25 @@ TEST(OutOfRange, SearchingEnginesThrow) {
 
 // The frontier's run ends incomplete and without a violation: no Report
 // comes back at all, only the worker's std::out_of_range, rethrown after
-// every worker has stopped.  This holds on both admission paths (direct
-// census and spilled candidates) and when other workers own the root's
-// shard.
+// every worker has stopped.  This holds at one thread and when other
+// workers own the root's shard.
 TEST(OutOfRange, FrontierEndsIncompleteWithoutAViolation) {
-  const std::filesystem::path spill_dir =
-      std::filesystem::path(::testing::TempDir()) / "ff_out_of_range_spill";
   for (const Case& c : cases()) {
     const OutOfRangeFactory factory(c.type);
     for (const std::uint32_t threads : {1u, 2u, 4u}) {
-      for (const bool spill : {false, true}) {
-        FrontierExploreOptions options;
-        options.num_threads = threads;
-        options.shard_count = 16;
-        if (spill) {
-          options.spill_dir = spill_dir.string();
-          options.mem_limit_bytes = 1;  // spill after every wave
-        }
-        const std::string label = c.name + " threads=" +
-                                  std::to_string(threads) +
-                                  (spill ? " spill" : "");
-        try {
-          const FrontierExploreResult result =
-              frontier_explore(config_of(c), factory, kInputs, options);
-          ADD_FAILURE() << label << ": returned a Report (complete="
-                        << result.explore.complete << ", violations="
-                        << result.explore.violations_found << ")";
-        } catch (const std::out_of_range&) {
-        }
+      FrontierExploreOptions options;
+      options.num_threads = threads;
+      const std::string label = c.name + " threads=" + std::to_string(threads);
+      try {
+        const FrontierExploreResult result =
+            frontier_explore(config_of(c), factory, kInputs, options);
+        ADD_FAILURE() << label << ": returned a Report (complete="
+                      << result.explore.complete << ", violations="
+                      << result.explore.violations_found << ")";
+      } catch (const std::out_of_range&) {
       }
     }
   }
-  std::error_code ec;
-  std::filesystem::remove_all(spill_dir, ec);
 }
 
 }  // namespace
