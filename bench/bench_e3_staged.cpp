@@ -49,16 +49,14 @@ void exhaustive_table(std::uint64_t state_cap) {
         inputs);
     sched::ExploreOptions options;
     options.max_states = state_cap;
-    const auto result = sched::explore(world, options);
     // The machine-checked wait-freedom bound: worst total steps across
-    // every schedule (only computed when the space was fully covered).
-    std::string bound = "-";
-    if (result.complete && !result.violation) {
-      const auto longest = sched::longest_execution(world, options);
-      if (longest.complete && longest.bounded) {
-        bound = std::to_string(longest.max_total_steps);
-      }
-    }
+    // every schedule, from the same search (only when it covered the
+    // whole space and found no cycle).
+    options.wait_free_bound = true;
+    const auto result = sched::explore(world, options);
+    const std::string bound = result.wait_free_bound
+                                  ? std::to_string(*result.wait_free_bound)
+                                  : "-";
     table.add(f, t, n, model::staged_max_stage(f, t), result.states_visited,
               result.violation
                   ? std::string(sched::to_string(result.violation->kind))

@@ -263,8 +263,8 @@ verify::JobSpec spec_from_cli(const util::Cli& cli) {
     if (!cli.has("kind")) spec.kind = model::FaultKind::kNone;
   }
 
-  // Historical behavior: a complete, violation-free exhaustive run also
-  // reports the machine-checked wait-freedom bound.
+  // A complete, violation-free exhaustive run also reports the
+  // machine-checked wait-freedom bound, read off the same search.
   spec.wait_free_bound = spec.engine == verify::Engine::kDfs ||
                          spec.engine == verify::Engine::kFrontier;
   return spec;

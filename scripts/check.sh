@@ -19,10 +19,12 @@
 #      recoverable-consensus campaign included, and the census cache's
 #      concurrent same-key writers) under ThreadSanitizer;
 #   5. FF_SANITIZE=address build → the memory-heavy fuzzer/explorer suites,
-#      the post-join cycle scan's CSR, peel and Tarjan indexing, the
-#      lane-space lockstep suite with the DFS Report pin, the
-#      out-of-range access rule, the step rule's Definition 1 property
-#      tests and the covering adversary (label `asan`) under
+#      the post-join cycle scan's CSR, peel, peel-round and Tarjan
+#      indexing, the DFS's per-state-id longest-path distances (the
+#      wait-free bound suite), the lane-space lockstep suite with the DFS
+#      Report pin, the out-of-range access rule, the step rule's
+#      Definition 1 property tests and the covering adversary (label
+#      `asan`) under
 #      AddressSanitizer + UndefinedBehaviorSanitizer, with NDEBUG undefined
 #      so every assert in src/ runs;
 #      stages 4 and 5 build the ff_tsan_tests / ff_asan_tests targets,

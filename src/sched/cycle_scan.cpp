@@ -31,6 +31,7 @@ CycleScanResult scan_cycles(
   for (const std::span<const CycleEdge> l : lists) num_edges += l.size();
   if (num_edges == 0) {
     scan.peeled = n;
+    scan.peel_rounds = n == 0 ? 0 : 1;
     return scan;
   }
 
@@ -63,14 +64,21 @@ CycleScanResult scan_cycles(
   // peels there is no cycle.  Afterwards indeg[v] == 0 iff v peeled.
   // The queue is FIFO: it peels roughly wave by wave, which keeps the
   // in-degree updates near each other (a LIFO stack made the peel about
-  // twice as slow on proof-sym).
+  // twice as slow on proof-sym).  It also peels in rounds: round k + 1
+  // is what round k freed, and `level_end` marks where the round being
+  // drained ends.
   {
     std::vector<std::uint32_t> ready;
     ready.reserve(n);
     for (std::uint32_t v = 0; v < n; ++v) {
       if (indeg[v] == 0) ready.push_back(v);
     }
+    std::size_t level_end = 0;
     for (std::size_t head = 0; head < ready.size(); ++head) {
+      if (head == level_end) {
+        ++scan.peel_rounds;
+        level_end = ready.size();
+      }
       const std::uint32_t v = ready[head];
       for (std::uint64_t i = offset[v]; i < offset[v + 1]; ++i) {
         if (--indeg[succ[i]] == 0) ready.push_back(succ[i]);

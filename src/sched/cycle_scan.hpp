@@ -17,6 +17,15 @@
 // (worker 0's list first) is closed into a lap by a BFS inside its SCC.
 // The result is a function of the edge lists alone.
 //
+// The peel also counts its FIFO rounds, and on an acyclic graph that
+// count is the wait-free bound at no extra bytes.  In the frontier's
+// graph the states without an in-edge are the root and the terminal
+// states, which get no recorded edges; every other state keeps the edge
+// that discovered it and, being non-terminal, has a successor.  So the
+// last round's index L is the longest path through non-terminal states,
+// and the longest execution is L + 1 steps (0 when the root is
+// terminal), which is the round count.
+//
 // Neither edges nor the engine's per-state census record WHICH choice
 // took a step.  A witness is re-derived once, after the join, by
 // rederive(): it walks a path of state ids from a concrete world and, at
@@ -57,6 +66,12 @@ struct CycleScanResult {
   std::uint64_t process_cycle_edges = 0;
   /// States removed by the in-degree peel (all of them: acyclic).
   std::uint64_t peeled = 0;
+  /// FIFO rounds of the peel: round 0 is every state without an
+  /// in-edge, round k + 1 every state whose last in-edge came from round
+  /// k.  A state's round is thus the longest path to it from a state
+  /// without an in-edge.  When every state peels, the rounds number one
+  /// more than the longest path in the graph.
+  std::uint32_t peel_rounds = 0;
   /// Empty when process_cycle_edges == 0.  Otherwise the first cyclic
   /// process edge u → v in list order, then a shortest v → … → u path
   /// inside its SCC: consecutive edges that end back at u.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "sched/explore_common.hpp"
@@ -13,7 +11,6 @@
 namespace ff::sched {
 
 using detail::Fingerprint;
-using detail::FingerprintHash;
 using detail::FlatFpMap;
 using detail::check_terminal;
 using detail::table_hint;
@@ -55,8 +52,20 @@ ExploreResult explore(const SimWorld& initial, const ExploreOptions& options) {
     const std::uint64_t bit = std::uint64_t{1} << (id & 63);
     on_path[id >> 6] = on ? on_path[id >> 6] | bit : on_path[id >> 6] & ~bit;
   };
+  // The wait-free bound, in post-order: longest[id] is the longest
+  // distance from state `id` to a terminal state, a running maximum
+  // while the state is on the path and final once it pops.  Any
+  // back-edge, an adversary-only one included, means some execution
+  // never ends, so there is no bound.
+  const bool want_bound = options.wait_free_bound;
+  std::vector<std::uint32_t> longest;
+  bool cyclic = false;
+  const auto fold_longest = [&](std::uint32_t id, std::uint32_t steps) {
+    longest[id] = std::max(longest[id], steps);
+  };
   const auto new_id = [&] {
     if ((next_id & 63) == 0) on_path.push_back(0);
+    if (want_bound) longest.push_back(0);
     return next_id++;
   };
 
@@ -119,8 +128,10 @@ ExploreResult explore(const SimWorld& initial, const ExploreOptions& options) {
         stack.capacity() * sizeof(Frame) +
         states.capacity() * sizeof(std::uint64_t) +
         choice_arena.capacity() * sizeof(Choice) +
-        path.capacity() * sizeof(Choice) + arena.bytes() +
+        path.capacity() * sizeof(Choice) +
+        longest.capacity() * sizeof(std::uint32_t) + arena.bytes() +
         cache.memo_bytes();
+    if (want_bound && complete && !cyclic) result.wait_free_bound = longest[0];
     return result;
   };
 
@@ -144,6 +155,9 @@ ExploreResult explore(const SimWorld& initial, const ExploreOptions& options) {
       path.resize(frame.depth == 0 ? 0 : frame.depth - 1);
       choice_arena.resize(frame.tran_off);
       states.resize(states.size() - stride);
+      if (want_bound && stack.size() > 1) {
+        fold_longest(stack[stack.size() - 2].id, longest[frame.id] + 1);
+      }
       stack.pop_back();
       continue;
     }
@@ -171,6 +185,7 @@ ExploreResult explore(const SimWorld& initial, const ExploreOptions& options) {
         break;
       }
       if (space.terminal(child.data())) {
+        if (want_bound) fold_longest(frame.id, 1);
         const bool stop = record_terminal(child.data());
         path.pop_back();
         if (stop) {
@@ -183,11 +198,14 @@ ExploreResult explore(const SimWorld& initial, const ExploreOptions& options) {
       continue;
     }
 
-    if ((on_path[existing >> 6] >> (existing & 63) & 1) != 0) {
+    if ((on_path[existing >> 6] >> (existing & 63) & 1) == 0) {
+      if (want_bound) fold_longest(frame.id, longest[existing] + 1);
+    } else {
       // Back-edge: the child is (an orbit-mate of) a state on the current
       // path — an infinite execution exists.  It violates wait-freedom
       // only if a process (not the corruption adversary) steps within the
       // repeating segment.
+      cyclic = true;
       std::size_t anc = stack.size() - 1;
       while (stack[anc].id != existing) --anc;
       const std::uint32_t anc_depth = stack[anc].depth;
@@ -241,95 +259,6 @@ SimWorld replay(const SimWorld& initial, const std::vector<Choice>& schedule) {
   SimWorld world = initial;
   for (const Choice& choice : schedule) world.apply(choice);
   return world;
-}
-
-LongestExecutionResult longest_execution(const SimWorld& initial,
-                                         const ExploreOptions& options) {
-  LongestExecutionResult result;
-
-  const bool sym =
-      options.symmetry_reduction && initial.processes_symmetric();
-
-  // Post-order DFS computing, per state, the longest distance to any
-  // terminal.  A back-edge to a state on the current path is a cycle:
-  // some execution runs forever and no finite bound exists.  Distances
-  // are orbit-invariant (a permutation maps executions to equal-length
-  // executions), so memoizing on canonical fingerprints is sound.
-  struct Frame {
-    SimWorld world;
-    Fingerprint fp;
-    std::vector<Choice> choices;
-    std::size_t next = 0;
-    std::uint64_t best = 0;
-  };
-
-  StateEncoder encoder;
-  EncodedState enc;
-  const auto fp_of = [&](const SimWorld& world) {
-    encoder.encode(world, enc);
-    return fingerprint_state(enc, sym);
-  };
-
-  std::unordered_map<Fingerprint, std::uint64_t, FingerprintHash> memo;
-  std::unordered_set<Fingerprint, FingerprintHash> on_path;
-  std::vector<Frame> stack;
-  stack.reserve(256);
-
-  const Fingerprint root_fp = fp_of(initial);
-  result.states_visited = 1;
-  if (initial.terminal()) {
-    result.complete = true;
-    return result;
-  }
-  stack.push_back(Frame{initial, root_fp, initial.enabled(), 0, 0});
-  on_path.insert(root_fp);
-
-  while (!stack.empty()) {
-    Frame& frame = stack.back();
-    if (frame.next >= frame.choices.size()) {
-      memo.emplace(frame.fp, frame.best);
-      on_path.erase(frame.fp);
-      const std::uint64_t finished = frame.best;
-      stack.pop_back();
-      if (stack.empty()) {
-        result.max_total_steps = finished;
-        result.complete = true;
-        return result;
-      }
-      Frame& parent = stack.back();
-      parent.best = std::max(parent.best, finished + 1);
-      continue;
-    }
-
-    const Choice choice = frame.choices[frame.next++];
-    SimWorld child = frame.world;
-    child.apply(choice);
-    const Fingerprint fp = fp_of(child);
-
-    if (on_path.contains(fp)) {
-      result.bounded = false;  // cycle: unbounded execution exists
-      return result;
-    }
-    if (const auto it = memo.find(fp); it != memo.end()) {
-      frame.best = std::max(frame.best, it->second + 1);
-      continue;
-    }
-    ++result.states_visited;
-    if (options.max_states != 0 &&
-        result.states_visited > options.max_states) {
-      return result;  // incomplete
-    }
-    if (child.terminal()) {
-      memo.emplace(fp, 0);
-      frame.best = std::max(frame.best, std::uint64_t{1});
-      continue;
-    }
-    auto choices = child.enabled();
-    on_path.insert(fp);
-    stack.push_back(Frame{std::move(child), fp, std::move(choices), 0, 0});
-  }
-  result.complete = true;
-  return result;
 }
 
 ShortestViolationResult find_shortest_violation(const SimWorld& initial,

@@ -86,6 +86,10 @@ struct ExploreOptions {
   /// Hint for pre-sizing the fingerprint table and search containers
   /// (0 = derive from max_states, capped).
   std::uint64_t expected_states = 0;
+  /// Also return the wait-free bound (ExploreResult::wait_free_bound),
+  /// read off the census's own traversal.  The DFS pays 4 bytes per
+  /// state for it, so it is off unless asked for.
+  bool wait_free_bound = false;
 };
 
 struct ExploreResult {
@@ -121,6 +125,14 @@ struct ExploreResult {
   /// structures, not an allocator trace — comparable across engines
   /// and runs, and cheap enough to always collect.
   std::uint64_t peak_bytes = 0;
+  /// Longest execution, in total steps, over every schedule and fault
+  /// placement — a machine-checked wait-freedom bound: every process
+  /// finishes within this many steps of the system whatever the
+  /// adversary does.  Set only with ExploreOptions::wait_free_bound, on a
+  /// complete run whose state graph has no cycle (an adversary-only
+  /// cycle included: some execution never ends).  Distances are
+  /// orbit-invariant, so symmetry reduction leaves the bound unchanged.
+  std::optional<std::uint64_t> wait_free_bound;
 
   [[nodiscard]] std::uint64_t violations_of(ViolationKind kind) const {
     const auto it = violations_by_kind.find(kind);
@@ -150,21 +162,6 @@ struct ShortestViolationResult {
   bool complete = false;
 };
 [[nodiscard]] ShortestViolationResult find_shortest_violation(
-    const SimWorld& initial, const ExploreOptions& options = {});
-
-/// Longest execution (in total steps) over ALL schedules and fault
-/// placements — a machine-checked wait-freedom bound for the
-/// configuration: every process finishes within max_total_steps steps of
-/// the system no matter the adversary.  `bounded` is false when the
-/// state graph contains a cycle (some execution never ends); `complete`
-/// is false when the state cap was hit first.
-struct LongestExecutionResult {
-  bool bounded = true;
-  bool complete = false;
-  std::uint64_t max_total_steps = 0;
-  std::uint64_t states_visited = 0;
-};
-[[nodiscard]] LongestExecutionResult longest_execution(
     const SimWorld& initial, const ExploreOptions& options = {});
 
 }  // namespace ff::sched

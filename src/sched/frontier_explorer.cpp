@@ -641,9 +641,15 @@ FrontierExploreResult frontier_explore(const SimConfig& config,
     }
     std::vector<std::span<const CycleEdge>> edge_lists;
     for (const WorkerState& ws : wlocals) edge_lists.emplace_back(ws.edges);
+    const CycleScanResult scan =
+        scan_cycles(shard_sizes, ctx.shard_bits, edge_lists);
+    // Every state peeled: no cycle, and the peel's rounds are the
+    // wait-free bound (cycle_scan.hpp).
+    if (opts.wait_free_bound && scan.peeled == result.states_visited) {
+      result.wait_free_bound = root.terminal() ? 0 : scan.peel_rounds;
+    }
     add_nontermination(
-        scan_cycles(shard_sizes, ctx.shard_bits, edge_lists), *ctx.root,
-        ctx.sym, opts,
+        scan, *ctx.root, ctx.sym, opts,
         [&ctx](std::uint32_t u, SimWorld* at_u) {
           return path_to(ctx, u, at_u);
         },

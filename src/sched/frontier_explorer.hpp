@@ -33,9 +33,11 @@
 //
 // The result satisfies the ExploreResult contract: the census
 // (states_visited, terminal_states, agreed_values, violation counts per
-// terminal kind) is BIT-EQUAL to the sequential explorer's on every
-// input, with symmetry reduction composing through the same
-// sched/reduce.hpp canonical fingerprints.  Differences by design:
+// terminal kind) and the wait-free bound are BIT-EQUAL to the sequential
+// explorer's on every input, with symmetry reduction composing through
+// the same sched/reduce.hpp canonical fingerprints.  The bound costs no
+// extra bytes: it is the number of rounds the post-join cycle scan's
+// in-degree peel takes on an acyclic graph.  Differences by design:
 //
 //   * kNontermination counts process edges inside cyclic SCCs of the
 //     explored graph, not DFS back-edges; compare presence, not counts.

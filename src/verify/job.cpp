@@ -110,6 +110,15 @@ void JobSpec::validate() const {
           std::to_string(processes));
     }
   }
+  if (wait_free_bound && engine != Engine::kDfs &&
+      engine != Engine::kFrontier) {
+    // Only an exhaustive search sees every execution; a flag the engine
+    // would ignore must not still change the job fingerprint.
+    throw std::invalid_argument(
+        "verify::JobSpec: the wait-free bound is read off an exhaustive "
+        "search; the " + std::string(to_string(engine)) +
+        " engine cannot compute it (use dfs or frontier)");
+  }
   if (engine == Engine::kStress) {
     // Real threads execute faults probabilistically via policy objects,
     // not as adversary branches; the simulator-only knobs would be

@@ -82,8 +82,9 @@ struct JobSpec {
   bool stop_at_first_violation = true;
   /// Explore-family state cap (0 = unlimited).
   std::uint64_t max_states = 4'000'000;
-  /// Also compute the wait-freedom bound (longest execution) after a
-  /// complete, violation-free dfs run.
+  /// Also return the wait-freedom bound (longest execution) of a
+  /// complete, violation-free dfs or frontier run, read off the census's
+  /// own search.  The fuzz and stress engines reject it.
   bool wait_free_bound = false;
   /// Fuzz/stress seed.
   std::uint64_t seed = 1;

@@ -84,8 +84,8 @@ struct Report {
   std::optional<FuzzSummary> fuzz;
   std::optional<StressSummary> stress;
 
-  /// Wait-freedom bound (JobSpec::wait_free_bound after a complete,
-  /// violation-free dfs run).
+  /// Wait-freedom bound (JobSpec::wait_free_bound, on a complete,
+  /// violation-free dfs or frontier run whose state graph is acyclic).
   std::optional<std::uint64_t> wait_free_bound;
 
   /// Engine wall time in microseconds (integer on purpose — see header).

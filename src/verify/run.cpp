@@ -24,6 +24,7 @@ sched::ExploreOptions explore_options(const JobSpec& spec) {
   options.killed_is_violation = spec.killed_is_violation;
   options.symmetry_reduction = spec.symmetry_reduction;
   options.expected_states = spec.expected_states;
+  options.wait_free_bound = spec.wait_free_bound;
   return options;
 }
 
@@ -40,6 +41,9 @@ void fill_census(Report& report, const sched::ExploreResult& result) {
   report.immunity_skips = result.immunity_skips;
   report.peak_bytes = result.peak_bytes;
   report.violation = result.violation;
+  if (result.complete && !result.violation) {
+    report.wait_free_bound = result.wait_free_bound;
+  }
 }
 
 Report execute_explore_family(const Instance& instance) {
@@ -55,15 +59,6 @@ Report execute_explore_family(const Instance& instance) {
     report.frontier = result.stats;
   } else {
     fill_census(report, sched::explore(instance.world(), explore_options(spec)));
-  }
-  if (spec.wait_free_bound && report.complete && !report.violation) {
-    // The bound pass is a sequential DFS regardless of which explorer
-    // produced the census above.
-    const auto bound =
-        sched::longest_execution(instance.world(), explore_options(spec));
-    if (bound.complete && bound.bounded) {
-      report.wait_free_bound = bound.max_total_steps;
-    }
   }
   return report;
 }

@@ -1,9 +1,11 @@
 // The frontier explorer's nontermination scan (sched/cycle_scan.hpp):
-// hand-built graphs, a brute-force reachability oracle over random small
-// graphs, and a pin of the engine's results on jobs with and without
-// process cycles.
+// hand-built graphs, the peel's round count (the wait-free bound's
+// source), a brute-force reachability oracle over random small graphs,
+// and a pin of the engine's results on jobs with and without process
+// cycles.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -74,7 +76,76 @@ TEST(CycleScan, EmptyEdgeListPeelsEverything) {
   const CycleScanResult r = g.scan();
   EXPECT_EQ(r.process_cycle_edges, 0u);
   EXPECT_EQ(r.peeled, 5u);
+  EXPECT_EQ(r.peel_rounds, 1u);
   EXPECT_TRUE(r.lap.empty());
+}
+
+// ---------------------------------------------------------------------
+// Peel rounds.  A state's round is the longest path to it from a state
+// without an in-edge, so an acyclic graph peels in (longest path + 1)
+// rounds — what the frontier reports as the wait-free bound.
+// ---------------------------------------------------------------------
+
+TEST(CycleScan, ChainPeelsOneStatePerRound) {
+  Graph g(6, 1, 2);
+  for (std::uint32_t v = 0; v + 1 < 6; ++v) {
+    g.edge(v, v + 1, v % 2 == 0, v % 2);
+  }
+  const CycleScanResult r = g.scan();
+  EXPECT_EQ(r.peeled, 6u);
+  EXPECT_EQ(r.peel_rounds, 6u);
+}
+
+TEST(CycleScan, DiamondPeelsByItsLongerArm) {
+  {
+    Graph g(4, 0, 1);  // 0 → {1, 2} → 3
+    g.proc(0, 1);
+    g.proc(0, 2);
+    g.proc(1, 3);
+    g.proc(2, 3);
+    const CycleScanResult r = g.scan();
+    EXPECT_EQ(r.peeled, 4u);
+    EXPECT_EQ(r.peel_rounds, 3u);
+  }
+  {
+    // 0 → 1 → 2 → 3 → 5 and 0 → 4 → 5: 5 is two BFS levels down but
+    // four edges down the longer arm, and the rounds follow that arm.
+    Graph g(6, 2, 2);
+    g.edge(0, 4, true, 0);
+    g.edge(4, 5, true, 0);
+    g.edge(0, 1, true, 1);
+    g.edge(1, 2, false, 1);
+    g.edge(2, 3, true, 1);
+    g.edge(3, 5, true, 1);
+    const CycleScanResult r = g.scan();
+    EXPECT_EQ(r.peeled, 6u);
+    EXPECT_EQ(r.peel_rounds, 5u);
+  }
+}
+
+TEST(CycleScan, IsolatedTerminalStatesAddNoRound) {
+  // The engine records no edge into a terminal state, so terminals sit
+  // in round 0 beside the root and never lengthen the count.
+  Graph g(7, 1, 1);
+  g.proc(0, 1);
+  g.proc(1, 2);
+  const CycleScanResult r = g.scan();
+  EXPECT_EQ(r.peeled, 7u);
+  EXPECT_EQ(r.peel_rounds, 3u);
+}
+
+TEST(CycleScan, CycleStopsThePeelShort) {
+  // 0 → 1 → 2 → 1 → 3: only the root peels, in one round; 1, 2 and the
+  // tail 3 below the cycle never do, so no bound exists.
+  Graph g(4, 0, 1);
+  g.proc(0, 1);
+  g.proc(1, 2);
+  g.proc(2, 1);
+  g.proc(1, 3);
+  const CycleScanResult r = g.scan();
+  EXPECT_EQ(r.peeled, 1u);
+  EXPECT_EQ(r.peel_rounds, 1u);
+  EXPECT_EQ(r.process_cycle_edges, 2u);
 }
 
 // A layered DAG whose BFS depths do not follow its edges: the root has a
@@ -222,17 +293,38 @@ TEST(CycleScan, RandomGraphsMatchReachabilityOracle) {
       }
     }
     std::uint64_t want_peeled = 0;
+    std::vector<bool> peels(n, false);
     for (std::uint32_t x = 0; x < n; ++x) {
       bool below_cycle = false;
       for (std::uint32_t c = 0; c < n; ++c) {
         below_cycle = below_cycle || (on_cycle[c] && reach[c][x]);
       }
+      peels[x] = !below_cycle;
       if (!below_cycle) ++want_peeled;
+    }
+    // A peeled state's predecessors all peel too, so its round is the
+    // longest path to it, relaxed here over the peeled states (n passes
+    // suffice: no path among them repeats a state).
+    std::vector<std::uint32_t> longest_to(n, 0);
+    for (std::uint32_t pass = 0; pass < n; ++pass) {
+      for (const auto& l : g.lists) {
+        for (const CycleEdge& e : l) {
+          const std::uint32_t u = g.node(e.source()), v = g.node(e.to);
+          if (peels[u] && peels[v]) {
+            longest_to[v] = std::max(longest_to[v], longest_to[u] + 1);
+          }
+        }
+      }
+    }
+    std::uint32_t want_rounds = 0;
+    for (std::uint32_t x = 0; x < n; ++x) {
+      if (peels[x]) want_rounds = std::max(want_rounds, longest_to[x] + 1);
     }
 
     const CycleScanResult r = g.scan();
     ASSERT_EQ(r.process_cycle_edges, want_count) << "trial " << trial;
     ASSERT_EQ(r.peeled, want_peeled) << "trial " << trial;
+    ASSERT_EQ(r.peel_rounds, want_rounds) << "trial " << trial;
     if (want_key == nullptr) {
       ASSERT_TRUE(r.lap.empty()) << "trial " << trial;
       continue;

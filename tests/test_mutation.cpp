@@ -8,6 +8,7 @@
 #include <memory>
 
 #include "sched/explorer.hpp"
+#include "sched/frontier_explorer.hpp"
 #include "sched/program.hpp"
 #include "sched/sim_world.hpp"
 
@@ -111,14 +112,22 @@ class MutantFactory final : public sched::MachineFactory {
   [[nodiscard]] std::string name() const override { return "mutant"; }
 };
 
-sched::SimWorld fault_free_world(const sched::MachineFactory& factory,
-                                 std::uint32_t n) {
+sched::SimConfig fault_free_config() {
   sched::SimConfig config;
   config.num_objects = 1;
   config.kind = model::FaultKind::kNone;
-  std::vector<std::uint64_t> inputs(n);
-  for (std::uint32_t i = 0; i < n; ++i) inputs[i] = i + 1;
-  return sched::SimWorld(config, factory, inputs);
+  return config;
+}
+
+std::vector<std::uint64_t> inputs(std::uint32_t n) {
+  std::vector<std::uint64_t> out(n);
+  for (std::uint32_t i = 0; i < n; ++i) out[i] = i + 1;
+  return out;
+}
+
+sched::SimWorld fault_free_world(const sched::MachineFactory& factory,
+                                 std::uint32_t n) {
+  return sched::SimWorld(fault_free_config(), factory, inputs(n));
 }
 
 TEST(Mutation, StubbornMutantCaughtAsInconsistent) {
@@ -148,10 +157,26 @@ TEST(Mutation, SpinningMutantCaughtAsNontermination) {
 }
 
 TEST(Mutation, SpinningMutantAlsoFlaggedByLongestExecution) {
+  // The loser's retry loop is a cycle, so no execution length bounds
+  // the run: neither exhaustive engine reports a wait-free bound, even
+  // from a search that covered the whole space.
   const MutantFactory<SpinningMachine> factory;
-  const auto result =
-      sched::longest_execution(fault_free_world(factory, 2));
-  EXPECT_FALSE(result.bounded);
+  sched::ExploreOptions options;
+  options.stop_at_first_violation = false;
+  options.wait_free_bound = true;
+  const auto dfs = sched::explore(fault_free_world(factory, 2), options);
+  EXPECT_TRUE(dfs.complete);
+  EXPECT_FALSE(dfs.wait_free_bound.has_value());
+  for (const std::uint32_t threads : {1u, 4u}) {
+    sched::FrontierExploreOptions frontier;
+    frontier.explore = options;
+    frontier.num_threads = threads;
+    const auto result = sched::frontier_explore(fault_free_config(), factory,
+                                                inputs(2), frontier);
+    EXPECT_TRUE(result.explore.complete) << threads << " threads";
+    EXPECT_FALSE(result.explore.wait_free_bound.has_value())
+        << threads << " threads";
+  }
 }
 
 TEST(Mutation, SoloRunsOfMutantsLookFine) {

@@ -215,6 +215,37 @@ TEST(JobSpec, ValidationRejectsIllegalCombinations) {
     EXPECT_THROW(spec.validate(), std::invalid_argument);
   }
   {
+    // The wait-free bound is read off an exhaustive search; a fuzz or
+    // stress job would ignore the flag, yet it still changes the job
+    // fingerprint, so it is an error that names the engine.
+    for (const verify::Engine engine :
+         {verify::Engine::kFuzz, verify::Engine::kStress}) {
+      verify::JobSpec spec = tiny_spec();
+      spec.engine = engine;
+      spec.kind = FaultKind::kNone;
+      spec.t = 0;
+      EXPECT_NO_THROW(spec.validate()) << verify::to_string(engine);
+      spec.wait_free_bound = true;
+      try {
+        spec.validate();
+        ADD_FAILURE() << verify::to_string(engine)
+                      << ": wait_free_bound validated";
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(std::string(verify::to_string(engine))),
+                  std::string::npos)
+            << what;
+      }
+    }
+    for (const verify::Engine engine :
+         {verify::Engine::kDfs, verify::Engine::kFrontier}) {
+      verify::JobSpec spec = tiny_spec();
+      spec.engine = engine;
+      spec.wait_free_bound = true;
+      EXPECT_NO_THROW(spec.validate()) << verify::to_string(engine);
+    }
+  }
+  {
     // "parallel" names no engine: no alias quietly maps a job that
     // names it onto a different search.
     EXPECT_THROW((void)verify::engine_from_string("parallel"),
