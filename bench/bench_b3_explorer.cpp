@@ -15,8 +15,9 @@
 //   (default)        google-benchmark suite (all BM_* below)
 //   --json <path>    write a machine-readable BENCH_B3.json report:
 //                    states/sec and peak state counts for the reduced
-//                    (symmetry), unreduced and pre-sized explorers on a
-//                    symmetric reference instance, plus reduction_factor,
+//                    (symmetry) and unreduced explorers on a symmetric
+//                    reference instance and for the unreduced explorer
+//                    on a hot-path instance, plus reduction_factor,
 //                    census_states_match (the DFS census against an
 //                    independent reference explorer, gated),
 //                    ir_overhead (random-walk steps/sec of the
@@ -372,19 +373,11 @@ int write_report(const std::string& path, bool smoke) {
                 static_cast<double>(reduced.report.states_visited)
           : 0.0;
 
-  // Hot-path instance (reductions OFF throughout): the engine without and
-  // with the expected_states pre-sizing hint, and the reference count.
+  // Hot-path instance (reductions OFF throughout): the engine and the
+  // reference count.
   const verify::JobSpec hot_spec = hotpath_reference();
   const verify::Instance hot_instance = verify::instantiate(hot_spec);
   const TimedExplore hot = timed_execute(hot_instance);
-  // The reserve()/pre-sizing satellite, isolated: same unreduced search
-  // with the fingerprint table and DFS containers sized up front
-  // (expected_states is an exec hint — same job fingerprint).
-  verify::JobSpec presized_spec = hot_spec;
-  presized_spec.expected_states = hot.report.states_visited;
-  const verify::Instance presized_instance =
-      verify::instantiate(presized_spec);
-  const TimedExplore presized = timed_execute(presized_instance);
 
   const std::uint64_t legacy_states =
       legacy_explore_count(hot_instance.world());
@@ -410,11 +403,11 @@ int write_report(const std::string& path, bool smoke) {
   // hits both sides of a pair equally, and the median discards the
   // rounds a scheduler hiccup poisoned — a 2% gate needs a statistic
   // whose run-to-run spread is well under 2%.
-  verify::JobSpec interpreted_spec = presized_spec;
+  verify::JobSpec interpreted_spec = hot_spec;
   interpreted_spec.interpreted = true;
   const verify::Instance interpreted_instance =
       verify::instantiate(interpreted_spec);
-  const sched::SimWorld generated_world = presized_instance.world();
+  const sched::SimWorld generated_world = hot_instance.world();
   const sched::SimWorld interpreted_world = interpreted_instance.world();
   const sched::SimWorld handwritten_world = handwritten_hotpath_reference();
   TimedWalks generated_best;
@@ -473,7 +466,6 @@ int write_report(const std::string& path, bool smoke) {
   sched::ExploreOptions handwritten_opts;
   handwritten_opts.stop_at_first_violation = false;
   handwritten_opts.symmetry_reduction = false;
-  handwritten_opts.expected_states = hot.report.states_visited;
   const verify::Report interpreted_census =
       verify::execute(interpreted_instance);
   const sched::ExploreResult handwritten_census =
@@ -547,12 +539,6 @@ int write_report(const std::string& path, bool smoke) {
                 static_cast<double>(
                     std::max<std::uint64_t>(1, immune_checks));
 
-  const double presize_speedup =
-      hot.seconds > 0 && presized.seconds > 0
-          ? rate(presized.report.states_visited, presized.seconds) /
-                rate(hot.report.states_visited, hot.seconds)
-          : 0.0;
-
   util::JsonWriter w;
   w.begin_object();
   w.kv("bench", "B3");
@@ -578,9 +564,6 @@ int write_report(const std::string& path, bool smoke) {
   w.end_object();
   emit_section(w, "hotpath_unreduced", hot.report.states_visited,
                hot.seconds, hot.report.max_depth);
-  emit_section(w, "hotpath_presized", presized.report.states_visited,
-               presized.seconds, presized.report.max_depth);
-  w.kv("presize_speedup", presize_speedup);
   // The overhead rounds' fastest campaign per machine (random walks,
   // steps summed over the campaign's walks).
   emit_walks(w, "generated_machines", generated_best);
@@ -610,9 +593,7 @@ int write_report(const std::string& path, bool smoke) {
   w.kv("immune_checks", immune_checks);
   w.kv("immune_skips", immune_skips);
   // Sanity invariants the gate can assert without re-deriving them.
-  w.kv("census_states_match",
-       hot.report.states_visited == legacy_states &&
-           presized.report.states_visited == hot.report.states_visited);
+  w.kv("census_states_match", hot.report.states_visited == legacy_states);
   w.end_object();
 
   std::ofstream out(path);

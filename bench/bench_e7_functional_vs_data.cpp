@@ -40,12 +40,8 @@ void exhaustive_table() {
       sched::SimConfig config;
       config.num_objects = f;
       config.t = t;
-      if (data_faults) {
-        config.kind = model::FaultKind::kDataCorruption;
-        config.allow_corruption_steps = true;
-      } else {
-        config.kind = model::FaultKind::kOverriding;
-      }
+      config.kind = data_faults ? model::FaultKind::kDataCorruption
+                                : model::FaultKind::kOverriding;
       const sched::SimWorld world(
           config,
           *proto::machine_factory("staged",

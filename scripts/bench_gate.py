@@ -7,8 +7,8 @@ Each report is dispatched on its "bench" field.
 
 B3 gates (smoke and full mode alike):
   * census_states_match is true — the DFS engine's state count on the
-    hot-path instance equals an independent reference explorer's, with
-    and without table pre-sizing (differential soundness);
+    hot-path instance equals an independent reference explorer's
+    (differential soundness);
   * reduction_factor >= 5 — symmetry shrinks the symmetric reference
     instance by at least 5x;
   * ir_census_match is true — the IrMachine interpreter and the retired

@@ -37,8 +37,6 @@ struct StressOptions {
   /// trials.  A deadline-truncated campaign simply reports fewer trials.
   BudgetSpec budget{.max_units = 100, .max_millis = 0};
   std::uint64_t seed = 0xc0ffee;
-  /// Stop early once this many violations have been found (0 = never).
-  std::uint64_t stop_after_violations = 0;
 };
 
 struct StressReport {
@@ -97,10 +95,6 @@ using TrialCheckHook =
       report.steps_per_process.add(static_cast<double>(d.cas_steps));
     }
     if (check) check(trial, outcome);
-    if (options.stop_after_violations != 0 &&
-        report.violations() >= options.stop_after_violations) {
-      break;
-    }
   }
   return report;
 }

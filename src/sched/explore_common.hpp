@@ -12,7 +12,6 @@
 // distinguished.
 #pragma once
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <optional>
@@ -82,9 +81,12 @@ class FlatFpMap {
  public:
   static constexpr std::uint32_t kNoValue = 0xFFFFFFFFu;
 
-  explicit FlatFpMap(std::size_t expected = 1024) {
+  /// Starts at the minimum, 16 slots; every table doubles as it fills.
+  FlatFpMap() : FlatFpMap(0) {}
+
+  /// Sized for `expected` entries at < 70% load.
+  explicit FlatFpMap(std::size_t expected) {
     std::size_t cap = 16;
-    // Size for expected entries at < 70% load.
     while (cap * 7 < expected * 10) cap <<= 1;
     slots_.assign(cap, Entry{});
     mask_ = cap - 1;
@@ -138,9 +140,8 @@ class FlatFpMap {
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
 
-  /// Number of mid-run rehashes.  Stays 0 exactly when the construction
-  /// hint covered the final size at < 70% load — what ExploreResult's
-  /// table_grows reports and the pre-sizing regression test pins.
+  /// Number of doublings since construction — what ExploreResult's
+  /// table_grows reports.
   [[nodiscard]] std::size_t grows() const noexcept { return grows_; }
 
  private:
@@ -168,28 +169,6 @@ class FlatFpMap {
   std::size_t size_ = 0;
   std::size_t grows_ = 0;
 };
-
-/// Pre-size for the fingerprint tables and per-state arenas, shared by
-/// every FlatFpMap consumer (the sequential explorer, the frontier's
-/// shards, shortest-witness search).  An explicit expected_states hint
-/// is the caller asserting the census size, so it is trusted up to 2^26
-/// entries — the old 2^24 cap silently re-capped exact large hints and
-/// made the table rehash mid-census right after a run had measured the
-/// true size (the stale-pre-size bug ExploreResult::table_grows now
-/// guards against).  Without a hint, cap at 2^16: max_states defaults
-/// to tens of millions and pre-allocating for it would waste hundreds
-/// of megabytes on small instances.
-[[nodiscard]] inline std::size_t table_hint(const ExploreOptions& options) {
-  constexpr std::uint64_t kDefaultCap = std::uint64_t{1} << 16;
-  constexpr std::uint64_t kHintCap = std::uint64_t{1} << 26;
-  if (options.expected_states != 0) {
-    return static_cast<std::size_t>(
-        std::min<std::uint64_t>(options.expected_states, kHintCap));
-  }
-  const std::uint64_t bound =
-      options.max_states == 0 ? kDefaultCap : options.max_states;
-  return static_cast<std::size_t>(std::min<std::uint64_t>(bound, kDefaultCap));
-}
 
 /// Checks a terminal world; returns a violation kind if one applies, and
 /// describes it in `detail`.

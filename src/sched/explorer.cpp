@@ -13,7 +13,6 @@ namespace ff::sched {
 using detail::Fingerprint;
 using detail::FlatFpMap;
 using detail::check_terminal;
-using detail::table_hint;
 
 ExploreResult explore(const SimWorld& initial, const ExploreOptions& options) {
   ExploreResult result;
@@ -42,7 +41,7 @@ ExploreResult explore(const SimWorld& initial, const ExploreOptions& options) {
     std::uint32_t depth = 0;
   };
 
-  FlatFpMap table(table_hint(options));
+  FlatFpMap table;
   std::uint32_t next_id = 0;
 
   // One bit per state id: set while the state is on the DFS path.  The
@@ -79,7 +78,6 @@ ExploreResult explore(const SimWorld& initial, const ExploreOptions& options) {
   states.reserve(256 * stride);
   choice_arena.reserve(4096);
   path.reserve(1024);
-  on_path.reserve(table_hint(options) / 64 + 1);
 
   const auto push_frame = [&](const std::uint64_t* state, std::uint32_t id,
                               std::uint32_t depth) {
@@ -283,7 +281,7 @@ ShortestViolationResult find_shortest_violation(const SimWorld& initial,
   // Symmetry only: BFS expands real worlds and dedups orbit-mates, so
   // minimality is preserved (a length-L execution exists to a violating
   // state iff one exists to its representative's orbit).
-  FlatFpMap visited(table_hint(options));
+  FlatFpMap visited;
   std::vector<Node> frontier;
   frontier.reserve(64);
   frontier.push_back({initial, {}});

@@ -83,9 +83,6 @@ struct ExploreOptions {
   /// invariant (DESIGN.md §3d), counts become per-orbit counts, and
   /// witnesses stay directly replayable.  No effect on asymmetric worlds.
   bool symmetry_reduction = true;
-  /// Hint for pre-sizing the fingerprint table and search containers
-  /// (0 = derive from max_states, capped).
-  std::uint64_t expected_states = 0;
   /// Also return the wait-free bound (ExploreResult::wait_free_bound),
   /// read off the census's own traversal.  The DFS pays 4 bytes per
   /// state for it, so it is off unless asked for.
@@ -107,9 +104,8 @@ struct ExploreResult {
   std::optional<Violation> violation;
   /// Agreed values observed across consistent terminal states.
   std::set<std::uint64_t> agreed_values;
-  /// Mid-run rehashes of the fingerprint table.  0 exactly when
-  /// expected_states pre-sized the table for the whole census — the
-  /// regression signal for the stale-pre-size path.
+  /// Doublings of the fingerprint tables from FlatFpMap's minimum
+  /// (summed over the frontier's shards).
   std::uint64_t table_grows = 0;
   /// A2 immunity-pruning tallies for THIS search: overriding-fault
   /// enabling conditions evaluated brute-force vs skipped outright via a

@@ -44,7 +44,6 @@
 #include "sched/cycle_scan.hpp"
 #include "sched/explore_common.hpp"
 #include "sched/lane_space.hpp"
-#include "sched/reduce.hpp"
 #include "util/handoff.hpp"
 #include "util/spin_barrier.hpp"
 
@@ -94,7 +93,7 @@ constexpr std::uint64_t kItAdversary = std::uint64_t{1} << 63;
 
 struct alignas(64) ShardState {
   /// fp → seq | kTerminalFlag of every admitted state.
-  FlatFpMap table{16};
+  FlatFpMap table;
   /// The discovering parent's id, indexed by seq (kNoParent for the
   /// root): witnesses walk it back to the root.
   std::vector<std::uint32_t> parent;
@@ -117,12 +116,6 @@ struct WorkerState {
   LaneCache cache;
 
   // Expansion scratch.
-  /// Per-pid block hashes + multiset sums of the current parent (sym
-  /// only): the child fingerprint is the shared fold plus these sums
-  /// with the stepped block's hash swapped.
-  std::vector<Fingerprint> parent_block_hash;
-  std::uint64_t parent_sum_a = 0;
-  std::uint64_t parent_sum_b = 0;
   std::vector<Choice> choices;
   std::vector<std::uint64_t> child_item;
   std::vector<std::uint64_t> ring_tmp;
@@ -141,8 +134,6 @@ struct Ctx {
   LaneArena* arena = nullptr;
   const LaneSpace* space = nullptr;
   bool sym = false;
-  std::uint32_t S = 0;  ///< shared words
-  std::uint32_t n = 0;  ///< processes
   std::size_t stride = 0;
   std::uint32_t num_shards = 1;
   std::uint32_t shard_bits = 0;
@@ -204,24 +195,7 @@ void admit_item(Ctx& ctx, WorkerState& ws, std::uint32_t shard_idx,
 void finalize_child(Ctx& ctx, WorkerState& ws, std::uint32_t w,
                     const std::uint64_t* item, const Choice& choice) {
   std::uint64_t* c = ws.child_item.data();
-  const std::uint64_t* state = c + kHeaderWords;
-  Fingerprint fp;
-  if (ctx.sym) {
-    // Incremental canonical fingerprint: fold the child's shared words
-    // and swap the stepped pid's block hash in the parent's multiset
-    // sums — no child encoding is materialized at all.
-    std::uint64_t sum_a = ws.parent_sum_a;
-    std::uint64_t sum_b = ws.parent_sum_b;
-    if (choice.pid != kAdversaryPid) {
-      const Fingerprint h =
-          ctx.space->block_hash(state[ctx.S + choice.pid], ws.cache);
-      sum_a += h.a - ws.parent_block_hash[choice.pid].a;
-      sum_b += h.b - ws.parent_block_hash[choice.pid].b;
-    }
-    fp = fingerprint_shared_sum(state, ctx.S, sum_a, sum_b);
-  } else {
-    fp = ctx.space->fingerprint(state, ws.cache);
-  }
+  const Fingerprint fp = ctx.space->fingerprint(c + kHeaderWords, ws.cache);
   const std::uint32_t shard = ctx.shard_of(fp);
   const std::uint32_t owner = ctx.owner_of(shard);
   // Start the census probe's cache fill while the header words are
@@ -249,17 +223,6 @@ void finalize_child(Ctx& ctx, WorkerState& ws, std::uint32_t w,
 void expand_item(Ctx& ctx, WorkerState& ws, std::uint32_t w,
                  const std::uint64_t* item) {
   const std::uint64_t* state = item + kHeaderWords;
-  if (ctx.sym) {
-    ws.parent_block_hash.resize(ctx.n);
-    ws.parent_sum_a = 0;
-    ws.parent_sum_b = 0;
-    for (std::uint32_t p = 0; p < ctx.n; ++p) {
-      const Fingerprint h = ctx.space->block_hash(state[ctx.S + p], ws.cache);
-      ws.parent_block_hash[p] = h;
-      ws.parent_sum_a += h.a;
-      ws.parent_sum_b += h.b;
-    }
-  }
   ctx.space->enabled(state, ws.choices, ws.cache);
   for (const Choice& choice : ws.choices) {
     try {
@@ -541,11 +504,9 @@ FrontierExploreResult frontier_explore(const SimConfig& config,
   ctx.opts = &opts;
   ctx.root = &root;
   ctx.sym = opts.symmetry_reduction && root.processes_symmetric();
-  ctx.n = root.processes();
-  ctx.S = root.shared_words();
-  ctx.stride = kHeaderWords + ctx.S + ctx.n;
   LaneArena arena;
   const LaneSpace space(root, arena, ctx.sym, opts.killed_is_violation);
+  ctx.stride = kHeaderWords + space.stride();
   ctx.arena = &arena;
   ctx.space = &space;
 
@@ -568,9 +529,6 @@ FrontierExploreResult frontier_explore(const SimConfig& config,
   ctx.workers = workers;
 
   ctx.shards = std::vector<ShardState>(ctx.num_shards);
-  const std::size_t per_shard_hint = std::max<std::size_t>(
-      16, detail::table_hint(opts) / ctx.num_shards);
-  for (ShardState& sh : ctx.shards) sh.table = FlatFpMap(per_shard_hint);
   ctx.mesh = std::make_unique<util::HandoffMesh>(ctx.workers, ctx.stride,
                                                  kRingItems);
   ctx.barrier = std::make_unique<util::SpinBarrier>(ctx.workers);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <stdexcept>
 #include <vector>
 
 #include "sched/explore_common.hpp"
@@ -16,6 +15,22 @@ namespace {
 
 using detail::Fingerprint;
 using detail::FlatFpMap;
+
+/// Per-execution step cap: gives up on one execution (not the run) when
+/// no terminal state and no state revisit surfaced first.
+constexpr std::uint64_t kMaxStepsPerExec = 4'096;
+// The cycle oracle stores step indices as table values.
+static_assert(kMaxStepsPerExec < FlatFpMap::kNoValue);
+/// Probability of a fresh PCT walk instead of a corpus mutation (a fresh
+/// walk is always used while the corpus is empty).
+constexpr double kFreshWalkProb = 0.3;
+/// Priority-change points per fresh PCT walk.
+constexpr std::uint32_t kPctChangePoints = 3;
+/// Probability of taking an enabled fault choice (walk tails and fresh
+/// walks).
+constexpr double kFaultBias = 0.5;
+/// Corpus size cap (schedules retained for mutation).
+constexpr std::size_t kMaxCorpus = 4'096;
 
 /// Canonical ordering of choices: lower pid first (the adversary's
 /// 0xFFFFFFFF pseudo-pid naturally sorts last), clean before faulty
@@ -46,15 +61,15 @@ template <class InPool>
 }
 
 /// Unguided pick, identical in spirit to random_walk: prefer a fault or
-/// crash choice with probability `fault_bias`, uniform within the pool;
+/// crash choice with probability kFaultBias, uniform within the pool;
 /// with no clean choice enabled, the pool is the faulty one.  With
 /// crash_budget 0 no crash choice ever exists, so the pools — and every
 /// RNG draw — are bit-identical to the crash-unaware fuzzer.
 [[nodiscard]] Choice biased_pick(const std::vector<Choice>& choices,
-                                 util::Xoshiro256& rng, double fault_bias) {
+                                 util::Xoshiro256& rng) {
   const auto faulty = static_cast<std::size_t>(
       std::count_if(choices.begin(), choices.end(), is_faulty));
-  const bool take_faulty = (faulty != 0 && rng.chance(fault_bias)) ||
+  const bool take_faulty = (faulty != 0 && rng.chance(kFaultBias)) ||
                            faulty == choices.size();
   const std::size_t pool = take_faulty ? faulty : choices.size() - faulty;
   return nth_in_pool(choices, rng.below(pool), [&](const Choice& c) {
@@ -263,9 +278,9 @@ void run_exec(const SimWorld& initial, const std::vector<Choice>& guidance,
   std::vector<std::uint64_t> change_points;
   if (fresh) {
     prio = PctPriorities::random(world.processes(), rng);
-    change_points.reserve(options.pct_change_points);
-    for (std::uint32_t i = 0; i < options.pct_change_points; ++i) {
-      change_points.push_back(1 + rng.below(options.max_steps_per_exec));
+    change_points.reserve(kPctChangePoints);
+    for (std::uint32_t i = 0; i < kPctChangePoints; ++i) {
+      change_points.push_back(1 + rng.below(kMaxStepsPerExec));
     }
     std::sort(change_points.begin(), change_points.end());
   }
@@ -275,14 +290,14 @@ void run_exec(const SimWorld& initial, const std::vector<Choice>& guidance,
   // EXACT even under symmetry reduction: the cycle oracle's verdict
   // promises a strict revisit of an earlier state of THIS execution,
   // which classify_schedule later re-verifies by comparing raw encodes.
-  // A step count is at most max_steps_per_exec, which fuzz() keeps below
-  // the table's empty-slot value.
+  // A step count is at most kMaxStepsPerExec, below the table's
+  // empty-slot value.
   FlatFpMap seen_at(64);
   encoder.encode(world, enc);
   seen_at.insert_or_get(fingerprint_state(enc, /*canonical=*/false), 0);
 
   while (!world.terminal()) {
-    if (out.path.size() >= options.max_steps_per_exec) return;
+    if (out.path.size() >= kMaxStepsPerExec) return;
     if (!meter.charge(1)) {
       out.truncated_by_budget = true;
       return;
@@ -298,10 +313,9 @@ void run_exec(const SimWorld& initial, const std::vector<Choice>& guidance,
                                        /*fault_bias=*/0.0).pid));
         change_points.erase(change_points.begin());
       }
-      picked = pct_pick(choices, prio, rng, options.fault_bias);
+      picked = pct_pick(choices, prio, rng, kFaultBias);
     }
-    const Choice choice =
-        picked ? *picked : biased_pick(choices, rng, options.fault_bias);
+    const Choice choice = picked ? *picked : biased_pick(choices, rng);
     world.apply(choice);
     out.path.push_back(choice);
 
@@ -347,10 +361,6 @@ void run_exec(const SimWorld& initial, const std::vector<Choice>& guidance,
 }  // namespace
 
 FuzzResult fuzz(const SimWorld& initial, const FuzzOptions& options) {
-  if (options.max_steps_per_exec >= FlatFpMap::kNoValue) {
-    throw std::invalid_argument(
-        "fuzz: max_steps_per_exec must be below 2^32 - 1");
-  }
   FuzzResult result;
   util::Xoshiro256 rng(options.seed);
   runtime::BudgetMeter meter(options.budget);
@@ -381,7 +391,7 @@ FuzzResult fuzz(const SimWorld& initial, const FuzzOptions& options) {
     }
 
     Mode mode = Mode::kFresh;
-    if (!result.corpus.empty() && !rng.chance(options.fresh_walk_prob)) {
+    if (!result.corpus.empty() && !rng.chance(kFreshWalkProb)) {
       mode = static_cast<Mode>(1 + rng.below(4));
     }
     make_guidance(mode, result.corpus, initial.processes(), rng, guidance);
@@ -395,7 +405,7 @@ FuzzResult fuzz(const SimWorld& initial, const FuzzOptions& options) {
     }
     ++result.stats.executions;
 
-    if (exec.new_coverage && result.corpus.size() < options.max_corpus) {
+    if (exec.new_coverage && result.corpus.size() < kMaxCorpus) {
       result.corpus.push_back(exec.path);
     }
     if (exec.kind) {

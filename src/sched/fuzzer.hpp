@@ -6,8 +6,8 @@
 // How it works:
 //   * Generation.  Each execution either performs a fresh PCT-style
 //     priority walk (random process priorities with a few priority-change
-//     points, faults fired with a configurable bias — after Burckhardt et
-//     al.'s probabilistic concurrency testing) or mutates a schedule from
+//     points, faults fired with a fixed bias — after Burckhardt et al.'s
+//     probabilistic concurrency testing) or mutates a schedule from
 //     the corpus: splice two schedules, truncate-and-replay with a random
 //     tail, swap two process identities throughout, or nudge fault points
 //     (toggle/move/revariant a fault).  Mutated schedules are re-resolved
@@ -57,19 +57,6 @@ struct FuzzOptions {
   runtime::BudgetSpec budget{.max_units = 2'000'000, .max_millis = 0};
   /// Stop after this many executions (0 = run until the budget ends).
   std::uint64_t max_execs = 0;
-  /// Per-execution step cap — gives up on one execution (not the run)
-  /// when no terminal state and no state revisit surfaced first.  Must be
-  /// below 2^32 - 1 (the cycle oracle keeps step indices in 32 bits);
-  /// fuzz() throws std::invalid_argument otherwise.
-  std::uint64_t max_steps_per_exec = 4'096;
-  /// Probability of a fresh PCT walk instead of a corpus mutation (a
-  /// fresh walk is always used while the corpus is empty).
-  double fresh_walk_prob = 0.3;
-  /// Priority-change points per fresh PCT walk.
-  std::uint32_t pct_change_points = 3;
-  /// Probability of taking an enabled fault choice (walk tails and
-  /// fresh walks).
-  double fault_bias = 0.5;
   /// Count terminal states with killed processes as kStalled.
   bool killed_is_violation = false;
   /// Stop the whole run at the first violation (complete stays false,
@@ -88,8 +75,6 @@ struct FuzzOptions {
   /// EXACT fingerprints regardless: a nontermination verdict still
   /// requires a strict state revisit.  No effect on asymmetric worlds.
   bool symmetry_reduction = true;
-  /// Corpus size cap (schedules retained for mutation).
-  std::size_t max_corpus = 4'096;
 };
 
 struct FuzzStats {

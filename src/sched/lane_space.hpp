@@ -128,9 +128,9 @@ class LaneArena {
   std::mutex mu_;
   // Every table starts at FlatFpMap's minimum (16 slots) and doubles as
   // the job needs, so a small job pays for a small arena.
-  detail::FlatFpMap intern_{0};
-  detail::FlatFpMap deliver_memo_{0};
-  detail::FlatFpMap crash_memo_{0};
+  detail::FlatFpMap intern_;
+  detail::FlatFpMap deliver_memo_;
+  detail::FlatFpMap crash_memo_;
   std::size_t size_ = 0;
   std::size_t chunks_ = 0;
   std::uint64_t machine_words_ = 0;  ///< encode words of interned lanes
@@ -154,8 +154,8 @@ class LaneArena {
 /// and its tallies.
 struct LaneCache {
   // Start at FlatFpMap's minimum and grow with the job, like the arena's.
-  detail::FlatFpMap deliver_cache{0};
-  detail::FlatFpMap crash_cache{0};
+  detail::FlatFpMap deliver_cache;
+  detail::FlatFpMap crash_cache;
   /// Block hashes indexed by (lane, crashes, killed) — a process block
   /// is a pure function of those three.  {0,0} marks unset; a real hash
   /// equal to the sentinel merely recomputes.
@@ -199,10 +199,6 @@ class LaneSpace {
   [[nodiscard]] detail::Fingerprint fingerprint(const std::uint64_t* state,
                                                 LaneCache& cache) const;
 
-  /// hash_block of the process block a per-pid word stands for.
-  [[nodiscard]] detail::Fingerprint block_hash(std::uint64_t pid_word,
-                                               LaneCache& cache) const;
-
   /// The block-structured encoding, equal to SimWorld::encode().
   void encode(const std::uint64_t* state, EncodedState& out) const;
 
@@ -221,6 +217,9 @@ class LaneSpace {
                                       LaneCache& cache) const;
   [[nodiscard]] std::uint32_t crash(std::uint32_t lane,
                                     LaneCache& cache) const;
+  /// hash_block of the process block a per-pid word stands for.
+  [[nodiscard]] detail::Fingerprint block_hash(std::uint64_t pid_word,
+                                               LaneCache& cache) const;
   /// Feeds `sink` the words of SimWorld::encode_process's block for the
   /// process a per-pid word stands for.
   template <typename Sink>

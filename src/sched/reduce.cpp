@@ -129,12 +129,11 @@ detail::Fingerprint fingerprint_state(const EncodedState& e, bool canonical) {
   // Canonical fingerprint = shared prefix + an order-insensitive
   // multiset combine of per-block hashes: summing the 128-bit block
   // hashes mod 2^64 per half is permutation-invariant by construction,
-  // so no block sort is needed, and the value is maintainable
-  // incrementally when a transition rewrites one process block.  Equal
-  // sums for distinct block multisets are a hash collision of the same
-  // grade every fingerprint table here already accepts.  Block lengths
-  // are folded into each block hash (FpFold::done mixes len), so block
-  // boundaries cannot alias across variable-length encodings.
+  // so no block sort is needed.  Equal sums for distinct block
+  // multisets are a hash collision of the same grade every fingerprint
+  // table here already accepts.  Block lengths are folded into each
+  // block hash (FpFold::done mixes len), so block boundaries cannot
+  // alias across variable-length encodings.
   std::uint64_t sum_a = 0;
   std::uint64_t sum_b = 0;
   const std::uint32_t n = e.processes();
@@ -202,8 +201,8 @@ std::vector<Choice> permute_pids(const std::vector<Choice>& schedule,
 }
 
 std::optional<std::vector<Choice>> close_symmetric_cycle(
-    const SimWorld& ancestor, const std::vector<Choice>& segment,
-    std::uint32_t max_laps) {
+    const SimWorld& ancestor, const std::vector<Choice>& segment) {
+  constexpr std::uint32_t kMaxLaps = 5040;
   StateEncoder enc;
   EncodedState base;
   enc.encode(ancestor, base);
@@ -222,7 +221,7 @@ std::optional<std::vector<Choice>> close_symmetric_cycle(
   // The walk returns to the exact ancestor encoding after order(π) laps.
   std::vector<Choice> out = segment;
   std::vector<Choice> lap = segment;
-  for (std::uint32_t k = 1; k < max_laps; ++k) {
+  for (std::uint32_t k = 1; k < kMaxLaps; ++k) {
     lap = permute_pids(lap, *pi);
     for (const Choice& c : lap) {
       // Equivariance guarantees enabledness; guard against misuse anyway.

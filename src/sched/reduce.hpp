@@ -80,11 +80,9 @@ void canonical_slots(const EncodedState& e, std::vector<std::uint32_t>& slot_of)
                                              const std::uint64_t* end);
 
 /// Canonical fingerprint from precombined parts: folds the shared
-/// prefix, then the order-insensitive block-hash sums.  An engine that
-/// maintains (sum_a, sum_b) incrementally — one process block changes
-/// per transition, so subtract the old block's hash_block and add the
-/// new one — gets the exact value fingerprint_state(e, true) computes
-/// from scratch, without materializing the child encoding.
+/// prefix, then the order-insensitive sums of the per-process
+/// hash_block values.  fingerprint_state sums the blocks of an encoding,
+/// LaneSpace::fingerprint those of a compact state, so the two agree.
 [[nodiscard]] detail::Fingerprint fingerprint_shared_sum(
     const std::uint64_t* shared, std::uint32_t shared_len,
     std::uint64_t sum_a, std::uint64_t sum_b);
@@ -114,11 +112,10 @@ void canonical_slots(const EncodedState& e, std::vector<std::uint32_t>& slot_of)
 /// orbit-mate of it (equal canonical encodings).  Returns an extended
 /// schedule that leads from `ancestor` back to a state with the EXACT
 /// same encoding, by replaying the segment under successive powers of the
-/// matched permutation (at most `max_laps` laps — the permutation's order
+/// matched permutation (at most 5,040 = 7! laps — the permutation's order
 /// is at most lcm(1..n), tiny for explorable n).  nullopt only if the
 /// states are not actually orbit-mates or the lap cap is hit.
 [[nodiscard]] std::optional<std::vector<Choice>> close_symmetric_cycle(
-    const SimWorld& ancestor, const std::vector<Choice>& segment,
-    std::uint32_t max_laps = 5040);
+    const SimWorld& ancestor, const std::vector<Choice>& segment);
 
 }  // namespace ff::sched

@@ -39,7 +39,11 @@ struct SimConfig {
   /// Read/write registers available to the protocol (always correct —
   /// the lower bounds allow unboundedly many of them; Theorem 18).
   std::uint32_t num_registers = 0;
-  /// Fault kind the designated faulty objects may exhibit.
+  /// Fault kind the designated faulty objects may exhibit.  Under
+  /// kDataCorruption (Afek data-fault model) the faults are adversary
+  /// corruption steps instead: before any process step the adversary may
+  /// overwrite a designated object with any candidate value, consuming
+  /// budget.
   model::FaultKind kind = model::FaultKind::kOverriding;
   /// Designation mask (size num_objects); empty = all objects faulty.
   std::vector<bool> faulty;
@@ -51,10 +55,6 @@ struct SimConfig {
   /// Values an arbitrary fault / data corruption may write.  Empty
   /// defaults to {⊥} ∪ {inputs} at construction.
   std::vector<model::Value> arbitrary_candidates;
-  /// Enables adversary corruption steps (Afek data-fault model): before
-  /// any process step the adversary may overwrite a designated object
-  /// with any candidate value, consuming budget.
-  bool allow_corruption_steps = false;
   /// Max crashes per process (0 = crashes disabled).  A crash is a
   /// per-process nondeterministic branch at a pause point: the process
   /// loses its volatile locals and re-enters at its recovery label

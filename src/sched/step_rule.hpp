@@ -118,8 +118,7 @@ class StepRule {
         }
       }
     }
-    if (any_live && cfg_.allow_corruption_steps &&
-        cfg_.kind == model::FaultKind::kDataCorruption) {
+    if (any_live && cfg_.kind == model::FaultKind::kDataCorruption) {
       const auto num_candidates =
           static_cast<std::uint32_t>(cfg_.arbitrary_candidates.size());
       for (objects::ObjectId obj = 0; obj < cfg_.num_objects; ++obj) {

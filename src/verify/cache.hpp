@@ -40,7 +40,7 @@ class Cache {
   /// Bumped whenever the entry schema changes, or an engine change moves
   /// the Report a job produces; mismatched entries are misses and gc()
   /// fodder, never parse attempts.
-  static constexpr std::uint64_t kFormatVersion = 6;
+  static constexpr std::uint64_t kFormatVersion = 7;
 
   /// Opens (creating if needed) the store at `dir`.  Throws
   /// std::runtime_error when the directory cannot be created.

@@ -165,7 +165,6 @@ std::string JobSpec::canonical_json() const {
   write_job_object(w, canonical);
   w.key("exec").begin_object();
   w.kv("threads", std::uint64_t{canonical.threads});
-  w.kv("expected_states", canonical.expected_states);
   w.end_object();
   w.end_object();
   return w.str();
@@ -201,7 +200,6 @@ JobSpec JobSpec::from_json(const util::JsonValue& doc) {
   spec.shrink = job.at("shrink").as_bool();
   spec.trials = job.at("trials").as_u64();
   spec.threads = static_cast<std::uint32_t>(exec.at("threads").as_u64());
-  spec.expected_states = exec.at("expected_states").as_u64();
   return spec;
 }
 

@@ -17,10 +17,10 @@
 //     fixed order with aliases resolved to canonical registry names and
 //     params normalized against the protocol's schema (defaults filled,
 //     unknown keys dropped), so equal jobs serialize to equal bytes.
-//     Execution hints that cannot change the result census — the
-//     thread count and the table pre-size — live in a separate "exec"
-//     section that is serialized (round-trip) but EXCLUDED from the job
-//     fingerprint (DESIGN.md §3j).
+//     The one execution hint that cannot change the result census — the
+//     thread count — lives in a separate "exec" section that is
+//     serialized (round-trip) but EXCLUDED from the job fingerprint
+//     (DESIGN.md §3j).
 #pragma once
 
 #include <cstdint>
@@ -96,11 +96,9 @@ struct JobSpec {
   /// Stress budget in trials.
   std::uint64_t trials = 100;
 
-  // --- execution hints (serialized, NOT fingerprinted) ------------------
+  // --- execution hint (serialized, NOT fingerprinted) -------------------
   /// Frontier worker threads (0 = hardware concurrency).
   std::uint32_t threads = 0;
-  /// Fingerprint-table pre-size hint (0 = derive from max_states).
-  std::uint64_t expected_states = 0;
 
   /// Ignored, and neither serialized nor fingerprinted: sleep-set
   /// partial-order reduction is gone from every engine.  Kept only while

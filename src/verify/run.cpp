@@ -23,7 +23,6 @@ sched::ExploreOptions explore_options(const JobSpec& spec) {
   options.stop_at_first_violation = spec.stop_at_first_violation;
   options.killed_is_violation = spec.killed_is_violation;
   options.symmetry_reduction = spec.symmetry_reduction;
-  options.expected_states = spec.expected_states;
   options.wait_free_bound = spec.wait_free_bound;
   return options;
 }
@@ -163,8 +162,6 @@ Instance instantiate(const JobSpec& spec) {
     instance.config.num_registers = instance.factory->registers_used();
     instance.config.kind = canonical.kind;
     instance.config.t = canonical.t;
-    instance.config.allow_corruption_steps =
-        canonical.kind == model::FaultKind::kDataCorruption;
     instance.config.crash_budget = canonical.crash_budget;
     instance.config.use_immunity_pruning = canonical.immunity_pruning;
   }

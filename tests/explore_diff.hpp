@@ -40,7 +40,6 @@ struct GridCase {
   model::FaultKind kind = model::FaultKind::kOverriding;
   std::uint32_t t = 1;
   std::uint32_t n = 2;
-  bool corruption_steps = false;
 };
 
 [[nodiscard]] inline sched::SimConfig grid_config(const GridCase& gc) {
@@ -49,7 +48,6 @@ struct GridCase {
   config.num_registers = gc.factory->registers_used();
   config.kind = gc.kind;
   config.t = gc.t;
-  config.allow_corruption_steps = gc.corruption_steps;
   return config;
 }
 
@@ -100,7 +98,7 @@ struct GridCase {
   // Single-CAS under adversary data corruption (Afek model).
   grid.push_back({"single-cas/data/t1/n2",
                   std::make_shared<SingleCasFactory>(),
-                  FaultKind::kDataCorruption, 1, 2, true});
+                  FaultKind::kDataCorruption, 1, 2});
 
   // TAS (register-augmented, hierarchy level 2).
   for (const std::uint32_t n : {2u, 3u}) {

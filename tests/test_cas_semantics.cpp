@@ -294,7 +294,6 @@ sched::StepRule rule_for(FaultKind kind, std::uint32_t crash_budget = 0) {
   config.num_registers = 1;
   config.kind = kind;
   config.arbitrary_candidates = kDomain;
-  config.allow_corruption_steps = kind == FaultKind::kDataCorruption;
   config.crash_budget = crash_budget;
   return sched::StepRule(config, nullptr, {1, 2, 3});
 }

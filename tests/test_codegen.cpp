@@ -16,11 +16,7 @@
 //     oracles, asserting equal encoded states after every single step
 //     (divergence surfaces steps, not censuses, late);
 //   * shrunk violation witnesses found on the interpreter strict-replay
-//     on the generated path with per-step encoding equality;
-//   * the stale-pre-size regression: ExploreResult::table_grows pins the
-//     fingerprint-table rehash count — stale expected_states hints cost
-//     exactly the doublings the sizing rule predicts, and an exact hint
-//     costs zero.
+//     on the generated path with per-step encoding equality.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -36,7 +32,6 @@
 #include "proto/genapi.hpp"
 #include "proto/machine.hpp"
 #include "proto/registry.hpp"
-#include "sched/explore_common.hpp"
 #include "sched/explorer.hpp"
 #include "sched/frontier_explorer.hpp"
 #include "sched/sim_world.hpp"
@@ -443,69 +438,6 @@ TEST(Codegen, ShrunkWitnessesStrictReplayOnGeneratedPath) {
     }
   }
   EXPECT_GE(replayed, 2u) << "the violating grid lost its violations";
-}
-
-// ---------------------------------------------------------------------------
-// 5. Pre-sizing regression: table_grows pins the rehash count.
-// ---------------------------------------------------------------------------
-
-/// Replays FlatFpMap's sizing rule: initial capacity from the hint
-/// (power of two, < 70% load), then one doubling per grow() while the
-/// census exceeds the load limit.
-std::uint64_t expected_grows(std::uint64_t hint, std::uint64_t states) {
-  std::uint64_t cap = 16;
-  while (cap * 7 < hint * 10) cap <<= 1;
-  std::uint64_t grows = 0;
-  while ((states + 1) * 10 > cap * 7) {
-    cap <<= 1;
-    ++grows;
-  }
-  return grows;
-}
-
-TEST(Codegen, TableHintTrustsExactLargeHints) {
-  sched::ExploreOptions options;
-  options.expected_states = std::uint64_t{1} << 25;
-  // The old cap (2^24) silently halved exact large hints, forcing a
-  // mid-census rehash right after a run had measured the true size.
-  EXPECT_EQ(sched::detail::table_hint(options),
-            std::size_t{1} << 25);
-  options.expected_states = std::uint64_t{1} << 27;
-  EXPECT_EQ(sched::detail::table_hint(options), std::size_t{1} << 26);
-  options.expected_states = 0;
-  options.max_states = 1 << 20;
-  EXPECT_EQ(sched::detail::table_hint(options), std::size_t{1} << 16);
-}
-
-TEST(Codegen, StalePreSizeRehashesExactlyAsPredictedAndExactHintDoesNot) {
-  const auto factory = proto::machine_factory("staged", {{"f", 1}, {"t", 1}});
-  SimConfig config;
-  config.num_objects = factory->objects_used();
-  config.num_registers = factory->registers_used();
-  config.kind = FaultKind::kOverriding;
-  config.t = 1;
-  const SimWorld world(config, *factory, iota_inputs(3));
-
-  sched::ExploreOptions options;
-  options.stop_at_first_violation = false;
-  options.symmetry_reduction = false;
-
-  // Stale hint: a prior (smaller) run's census size.
-  options.expected_states = 1024;
-  const auto stale = sched::explore(world, options);
-  ASSERT_TRUE(stale.complete);
-  EXPECT_EQ(stale.table_grows,
-            expected_grows(1024, stale.states_visited));
-  EXPECT_GT(stale.table_grows, 0u)
-      << "census too small to force a rehash — grow the instance";
-
-  // Exact hint: the batched-census path (pools size columns the same
-  // way) must not rehash at all.
-  options.expected_states = stale.states_visited;
-  const auto exact = sched::explore(world, options);
-  ASSERT_TRUE(exact.complete);
-  EXPECT_EQ(exact.states_visited, stale.states_visited);
-  EXPECT_EQ(exact.table_grows, 0u);
 }
 
 }  // namespace

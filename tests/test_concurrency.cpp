@@ -10,7 +10,6 @@
 
 #include "legacy/f_plus_one.hpp"
 #include "legacy/machines.hpp"
-#include "legacy/single_cas.hpp"
 #include "faults/bank.hpp"
 #include "faults/budget.hpp"
 #include "faults/faulty_cas.hpp"
@@ -221,20 +220,6 @@ TEST(JitterCas, IntegratesWithStressCampaign) {
   const auto report = runtime::run_stress(
       protocol, stress, [&](std::uint64_t) { bank.reset(); });
   EXPECT_TRUE(report.all_ok()) << report.violations();
-}
-
-TEST(StressHarness, StopAfterViolationsCutsTheCampaignShort) {
-  faults::AlwaysFault policy;
-  faults::FaultyCas object(0, FaultKind::kOverriding, &policy, nullptr);
-  consensus::SingleCasConsensus protocol(object);  // breaks at n=3
-  runtime::StressOptions options;
-  options.processes = 3;
-  options.budget.max_units = 10'000;
-  options.stop_after_violations = 1;
-  const auto report = runtime::run_stress(protocol, options);
-  EXPECT_LT(report.trials, 10'000u);
-  EXPECT_GE(report.violations(), 1u);
-  ASSERT_TRUE(report.first_violation.has_value());
 }
 
 TEST(StressHarness, MakeInputsAreDistinctAndDeterministic) {

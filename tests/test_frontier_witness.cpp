@@ -68,7 +68,7 @@ std::vector<PinnedFrontierJob> pinned_frontier_jobs() {
   };
   add("staged overriding n=3",
       frontier_job("staged", FaultKind::kOverriding, 3),
-      0x15982bdf6287db9fULL, 0xee044c00194b0df6ULL);
+      0x1ecff3a6f5f6867aULL, 0x837ccc0d02534d27ULL);
   add("single-cas arbitrary n=3",
       frontier_job("single-cas", FaultKind::kArbitrary, 3),
       0xef536f5e9154b2b4ULL, 0xd0dc261db287c506ULL);
@@ -89,7 +89,7 @@ std::vector<PinnedFrontierJob> pinned_frontier_jobs() {
   census.crash_budget = 1;
   census.stop_at_first_violation = false;
   jobs.push_back({"recoverable-staged crashes=1 n=2 complete", census,
-                  0x9af9cdfc42bff2c3ULL});
+                  0xc652307bf7b369d4ULL});
   return jobs;
 }
 

@@ -14,9 +14,7 @@
 
 #include <cstdint>
 #include <ios>
-#include <limits>
 #include <set>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -158,20 +156,6 @@ TEST(FuzzerBudget, DeadlineTruncationReportsIncomplete) {
 
   EXPECT_FALSE(run.complete);
   EXPECT_EQ(run.stats.violations_found, 0u);
-}
-
-// The first-seen table of the cycle oracle stores a step index in 32
-// bits, so a per-execution step cap it could not index is refused.
-TEST(FuzzerBudget, RejectsAStepCapBeyondThirtyTwoBits) {
-  const GridCase gc = correct_cell();
-  const SimWorld world = make_world(gc);
-
-  FuzzOptions fo;
-  fo.budget.max_units = 1'000;
-  fo.max_steps_per_exec = std::numeric_limits<std::uint32_t>::max();
-  EXPECT_THROW((void)fuzz(world, fo), std::invalid_argument);
-  fo.max_steps_per_exec = std::numeric_limits<std::uint32_t>::max() - 1;
-  EXPECT_NO_THROW((void)fuzz(world, fo));
 }
 
 // ---------------------------------------------------------------------

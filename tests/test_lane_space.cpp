@@ -16,6 +16,9 @@
 //     details, symmetric cycle closure, adversary steps, crashes, fault
 //     variants, stalls and both benchmark proofs, hashed as recorded
 //     before the DFS moved onto lanes.
+//   * SmallJobs checks that a job of a few hundred states holds a few
+//     hundred kilobytes on either engine: every fingerprint table starts
+//     at FlatFpMap's minimum and doubles as the census needs.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -293,8 +296,51 @@ TEST(LaneSpaceLockstep, SharedArenaAnswersFromTheMemo) {
 }
 
 // ---------------------------------------------------------------------------
+// SmallJobs: small jobs pay for small tables.
+// ---------------------------------------------------------------------------
+
+/// Doublings FlatFpMap's rule predicts from its minimum of 16 slots for
+/// a census of `states`: one grow() per doubling while the table would
+/// pass 70% load.  The DFS probes with insert_or_get, which checks the
+/// load before it looks, so a probe after the last insert counts as one
+/// more entry.
+std::uint64_t expected_grows(std::uint64_t states) {
+  std::uint64_t cap = 16;
+  std::uint64_t grows = 0;
+  while ((states + 1) * 10 > cap * 7) {
+    cap <<= 1;
+    ++grows;
+  }
+  return grows;
+}
+
+TEST(SmallJobs, PayForSmallTables) {
+  for (const std::string protocol : {"single-cas", "staged"}) {
+    for (const verify::Engine engine :
+         {verify::Engine::kDfs, verify::Engine::kFrontier}) {
+      verify::JobSpec spec;
+      spec.protocol = protocol;
+      spec.processes = 2;
+      spec.engine = engine;
+      spec.threads = 1;
+      const std::string name =
+          protocol + " n=2 " + std::string(verify::to_string(engine));
+      const verify::Report report =
+          verify::execute(verify::instantiate(spec));
+      ASSERT_TRUE(report.complete) << name;
+      EXPECT_LT(report.peak_bytes, 512u * 1024) << name;
+      if (engine == verify::Engine::kDfs) {
+        EXPECT_EQ(report.table_grows, expected_grows(report.states_visited))
+            << name;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // DfsPin: the sequential DFS's Reports, as recorded before it moved onto
-// lanes.
+// lanes; only table_grows was re-recorded since, when the fingerprint
+// table began to start at FlatFpMap's minimum.
 // ---------------------------------------------------------------------------
 
 std::uint64_t fnv1a64(std::string_view bytes) {
@@ -340,25 +386,25 @@ std::vector<PinnedDfsJob> pinned_dfs_jobs() {
   proof_crash.engine = verify::Engine::kDfs;
   return {
       {"staged overriding n=3", job("staged", FaultKind::kOverriding, 1, 3),
-       0xe9c9693746f04adcULL},
+       0x5938433cca620045ULL},
       {"retry-silent silent t=inf n=2 symmetric",
        job("retry-silent", FaultKind::kSilent, model::kUnbounded, 2),
        0x0eb649b56611ff9aULL},
       {"retry-silent silent t=inf n=3 all violations", retry_all,
-       0xe1a2a04468734343ULL},
+       0x4ac6d8217251f2bcULL},
       {"staged data t=inf n=2",
        job("staged", FaultKind::kDataCorruption, model::kUnbounded, 2),
-       0x1b49828376f035f3ULL},
+       0xdccb5b07aacdae52ULL},
       {"recoverable-cas crashes=1 n=3", recoverable_cas,
        0xa73290dfb1b49f0aULL},
       {"recoverable-staged crashes=2 n=2", recoverable_staged,
-       0xc707d4061495ee17ULL},
+       0xf8e17619e6bf3228ULL},
       {"single-cas arbitrary n=3", job("single-cas", FaultKind::kArbitrary, 1, 3),
        0x16da0bddebc8945bULL},
       {"tas nonresponsive killed_is_violation n=2", tas,
        0xb8959163956fcdb5ULL},
-      {"proof-sym", proof_sym, 0x605f6c0e7b789847ULL},
-      {"proof-crash", proof_crash, 0x889bfc7e7ab08932ULL},
+      {"proof-sym", proof_sym, 0x7ff318a8dfdcfbf9ULL},
+      {"proof-crash", proof_crash, 0xdd10420fd27be6c4ULL},
   };
 }
 

@@ -292,8 +292,7 @@ TEST(OtherFaults, NonresponsiveFaultStallsAProcess) {
 // --------------------------------------------------------------------------
 
 TEST(FunctionalVsData, DataFaultsDefeatTheAllFaultyConfiguration) {
-  SimConfig config = cfg(1, FaultKind::kDataCorruption, 1);
-  config.allow_corruption_steps = true;
+  const SimConfig config = cfg(1, FaultKind::kDataCorruption, 1);
   SimWorld world(config, StagedFactory(1, 1), inputs(2));
   const auto result = sched::explore(world);
   ASSERT_TRUE(result.violation.has_value());

@@ -116,19 +116,16 @@ TEST(JobSpec, CanonicalizationNormalizesParams) {
 }
 
 TEST(JobSpec, ExecHintsAreNotFingerprinted) {
-  // The thread count and the table pre-size cannot change the census,
-  // so they round-trip through the "exec" section but never key the
-  // cache.
+  // The thread count cannot change the census, so it round-trips
+  // through the "exec" section but never keys the cache.
   verify::JobSpec base = tiny_spec();
   verify::JobSpec tuned = base;
   tuned.threads = 16;
-  tuned.expected_states = 12345;
   EXPECT_EQ(verify::job_fingerprint(base), verify::job_fingerprint(tuned));
-  // ...but the hints are not lost: the document round-trips them.
+  // ...but the hint is not lost: the document round-trips it.
   const verify::JobSpec reparsed =
       verify::JobSpec::parse(tuned.canonical_json());
   EXPECT_EQ(reparsed.threads, 16u);
-  EXPECT_EQ(reparsed.expected_states, 12345u);
 }
 
 TEST(JobSpec, SemanticEditsChangeTheFingerprint) {
